@@ -66,18 +66,22 @@
 //!   re-registers a demand model.
 //! * **Warm-started degradation** ([`Formulator::formulate_warm`],
 //!   [`Formulator::formulate_shedding_warm`]) — the §5 step *sequence*
-//!   is independent of the admission capacity: the heap orders candidate
-//!   steps purely by penalty-table decreases, and capacity only decides
-//!   where along the sequence the loop stops. A keyed trajectory records
-//!   the sequence (with the exact floating-point demand accumulations
-//!   the cold loop would hold) the first time a bundle is priced, so
-//!   every later round of the same negotiation replays recorded states
-//!   in O(1) per step — no demand-model evaluation, no heap operations —
-//!   and extends the recording lazily only when a tighter capacity needs
-//!   deeper degradation. Results are bit-identical to the cold path.
+//!   is independent of the admission capacity and of the negotiation:
+//!   the heap orders candidate steps purely by penalty-table decreases,
+//!   and capacity only decides where along the sequence the loop stops.
+//!   One trajectory per prepared bundle records the sequence (with the
+//!   exact floating-point demand accumulations the cold loop would hold)
+//!   the first time the bundle is priced, so every later CFP announcing
+//!   the same bundle — a later round or an entirely different
+//!   negotiation — replays recorded states in O(1) per step (no
+//!   demand-model evaluation, no heap operations) and extends the
+//!   recording lazily only when a tighter capacity needs deeper
+//!   degradation. Results are bit-identical to the cold path.
 
 use std::cmp::Ordering;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{BinaryHeap, HashMap};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use qosc_resources::{AdmissionControl, DemandModel, ResourceVector};
@@ -1009,20 +1013,33 @@ struct CacheEntry {
 }
 
 /// The reusable formulation engine: one reward model, a compile cache
-/// keyed by `(spec name, request name)` (entries verified structurally on
-/// every hit, so a colliding name can never serve stale tables), and the
-/// scratch heap the degradation loop reuses across calls. The heap is the
-/// only reusable buffer by design: the per-task levels and demands are
-/// moved out to the caller inside [`Formulated`], so pooling them would
-/// require an API that takes them back.
+/// keyed by spec name, then request name (entries verified structurally
+/// on every hit, so a colliding name can never serve stale tables), and
+/// the scratch heap the degradation loop reuses across calls. The heap is
+/// the only reusable buffer by design: the per-task levels and demands
+/// are moved out to the caller inside [`Formulated`], so pooling them
+/// would require an API that takes them back.
 pub struct Formulator {
     reward: Arc<dyn RewardModel>,
-    cache: HashMap<(String, String), CacheEntry>,
+    /// Nested by name so a hit is looked up by borrowed `&str`s, without
+    /// building an owned key.
+    cache: HashMap<String, HashMap<String, CacheEntry>>,
     heap: BinaryHeap<Step>,
-    /// Warm-start trajectories keyed by `(caller key, bundle length)`;
-    /// see [`Formulator::formulate_warm`]. The bundle length is part of
-    /// the key so shedding's nested prefixes warm independently.
-    warm: HashMap<(u64, usize), Trajectory>,
+    /// Warm-start trajectories keyed by [`bundle_key`]; see
+    /// [`Formulator::formulate_warm`].
+    warm: HashMap<u64, Trajectory>,
+}
+
+/// Warm-table key of a bundle: a hash of its tasks' `Arc` addresses.
+/// [`Trajectory::matches`] re-checks identity on every hit, so a collision
+/// only costs a rebuild; and since a trajectory holds its tasks' `Arc`s,
+/// no other task can be allocated at a recorded address while it lives.
+fn bundle_key(tasks: &[Arc<PreparedTask>]) -> u64 {
+    let mut h = DefaultHasher::new();
+    for t in tasks {
+        Arc::as_ptr(t).hash(&mut h);
+    }
+    h.finish()
 }
 
 /// Bound on retained warm trajectories. Warm state is behaviour-neutral
@@ -1062,7 +1079,7 @@ impl Formulator {
 
     /// Number of cached compilations (tests, metrics).
     pub fn cached(&self) -> usize {
-        self.cache.len()
+        self.cache.values().map(HashMap::len).sum()
     }
 
     /// Resolves `request` against `spec` and compiles it for repeated
@@ -1077,8 +1094,11 @@ impl Formulator {
         request: &ServiceRequest,
         demand: &Arc<dyn DemandModel>,
     ) -> Option<Arc<PreparedTask>> {
-        let key = (spec.name().to_string(), request.name.clone());
-        if let Some(e) = self.cache.get(&key) {
+        let hit = self
+            .cache
+            .get(spec.name())
+            .and_then(|by_request| by_request.get(&request.name));
+        if let Some(e) = hit {
             // Same-name-different-content announcements and re-registered
             // demand models must recompile; data-pointer identity is the
             // demand-model check (a re-registered Arc is a new allocation).
@@ -1099,13 +1119,16 @@ impl Formulator {
             self.reward.as_ref(),
             Arc::clone(demand),
         ));
-        self.cache.insert(
-            key,
-            CacheEntry {
-                source: request.clone(),
-                prepared: Arc::clone(&prepared),
-            },
-        );
+        self.cache
+            .entry(spec.name().to_string())
+            .or_default()
+            .insert(
+                request.name.clone(),
+                CacheEntry {
+                    source: request.clone(),
+                    prepared: Arc::clone(&prepared),
+                },
+            );
         Some(prepared)
     }
 
@@ -1113,7 +1136,7 @@ impl Formulator {
     /// provider re-registers a demand model: the cached fully-degraded
     /// demands were computed under the old model.
     pub fn invalidate_spec(&mut self, spec_name: &str) {
-        self.cache.retain(|(s, _), _| s != spec_name);
+        self.cache.remove(spec_name);
         self.warm
             .retain(|_, t| t.tasks.iter().all(|p| p.spec.name() != spec_name));
     }
@@ -1141,51 +1164,47 @@ impl Formulator {
         shed(tasks, admission, &mut self.heap)
     }
 
-    /// Serves the warm trajectory for `(key, tasks)`, building or
-    /// rebuilding it when missing or recorded for a different bundle.
-    fn warm_entry(&mut self, key: u64, tasks: &[Arc<PreparedTask>]) -> &mut Trajectory {
-        let slot = (key, tasks.len());
-        let stale = match self.warm.get(&slot) {
-            Some(t) => !t.matches(tasks),
-            None => true,
-        };
+    /// Serves the warm trajectory for `tasks`, building or rebuilding it
+    /// when missing or recorded for a different bundle.
+    fn warm_entry(&mut self, tasks: &[Arc<PreparedTask>]) -> &mut Trajectory {
+        let key = bundle_key(tasks);
+        let stale = self.warm.get(&key).is_none_or(|t| !t.matches(tasks));
         if stale {
             if self.warm.len() >= WARM_CAP {
                 self.warm.clear();
             }
-            self.warm.insert(slot, Trajectory::new(tasks.to_vec()));
+            self.warm.insert(key, Trajectory::new(tasks.to_vec()));
         }
-        self.warm.get_mut(&slot).expect("entry inserted above")
+        self.warm.get_mut(&key).expect("entry inserted above")
     }
 
     /// Warm-started §5 formulation: identical results to
     /// [`Formulator::formulate`] (pinned by `formulation_props`), but the
-    /// degradation sequence for `(key, tasks)` is recorded on first use
-    /// and replayed on every later call — later rounds of the same
-    /// negotiation pay an array scan instead of demand-model evaluations
-    /// and heap churn. `key` scopes the trajectory (one per negotiation
-    /// in the provider engine); bundle identity is verified by `Arc`
-    /// pointer equality, so a re-prepared bundle transparently rebuilds.
-    /// Callers should [`Formulator::forget_warm`] the key when the
-    /// negotiation ends.
+    /// degradation sequence of `tasks` is recorded on first use and
+    /// replayed on every later call — any later CFP announcing the same
+    /// bundle, from this negotiation or another, pays an array scan
+    /// instead of demand-model evaluations and heap churn. There is one
+    /// trajectory per bundle, identified by the `Arc` pointers of its
+    /// prepared tasks (so a re-prepared bundle transparently rebuilds)
+    /// and shared across negotiations; the table is cleared whenever it
+    /// reaches `WARM_CAP` entries.
     pub fn formulate_warm(
         &mut self,
-        key: u64,
         tasks: &[Arc<PreparedTask>],
         admission: &AdmissionControl,
     ) -> Result<Formulated, FormulationError> {
-        self.warm_entry(key, tasks).formulate(admission)
+        self.warm_entry(tasks).formulate(admission)
     }
 
     /// Warm-started prefix-feasibility shedding: identical results to
     /// [`Formulator::formulate_shedding`], with every prefix degradation
-    /// answered by a warm trajectory under `key`. The shedding structure
+    /// answered by the warm trajectory of that prefix (each prefix
+    /// `tasks[..c]` is a bundle of its own). The shedding structure
     /// (dependency split, fully-degraded prefix sums, boundary probe) is
     /// the same as [`formulate_shedding`]; only the inner degradation
     /// runs are replayed.
     pub fn formulate_shedding_warm(
         &mut self,
-        key: u64,
         tasks: &[Arc<PreparedTask>],
         admission: &AdmissionControl,
     ) -> Option<(usize, Formulated)> {
@@ -1195,7 +1214,7 @@ impl Formulator {
         }
         let k = tasks.iter().position(|t| !t.full_deps_ok).unwrap_or(n);
         for c in ((k + 1)..=n).rev() {
-            if let Ok(f) = self.formulate_warm(key, &tasks[..c], admission) {
+            if let Ok(f) = self.formulate_warm(&tasks[..c], admission) {
                 return Some((c, f));
             }
         }
@@ -1211,13 +1230,13 @@ impl Formulator {
             .find(|&c| admission.schedulable_total(&sums[c], c));
         let boundary = c0.map_or(1, |c| c + 1);
         if boundary <= k {
-            if let Ok(f) = self.formulate_warm(key, &tasks[..boundary], admission) {
+            if let Ok(f) = self.formulate_warm(&tasks[..boundary], admission) {
                 return Some((boundary, f));
             }
         }
         let mut c = c0?;
         loop {
-            if let Ok(f) = self.formulate_warm(key, &tasks[..c], admission) {
+            if let Ok(f) = self.formulate_warm(&tasks[..c], admission) {
                 return Some((c, f));
             }
             if c == 1 {
@@ -1225,12 +1244,6 @@ impl Formulator {
             }
             c -= 1;
         }
-    }
-
-    /// Drops every warm trajectory recorded under `key` (all bundle
-    /// lengths). Called by the provider engine when a negotiation ends.
-    pub fn forget_warm(&mut self, key: u64) {
-        self.warm.retain(|(k, _), _| *k != key);
     }
 
     /// Number of retained warm trajectories (tests, metrics).

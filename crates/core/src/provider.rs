@@ -128,21 +128,13 @@ impl std::fmt::Debug for ProviderConfig {
     }
 }
 
-/// Warm-trajectory key for a negotiation: organizer pid in the high
-/// word, per-organizer sequence in the low word — unique per negotiation.
-/// (A collision would only cost a trajectory rebuild, never a wrong
-/// result: warm entries verify bundle identity before replaying.)
-fn warm_key(nego: NegoId) -> u64 {
-    (u64::from(nego.organizer) << 32) | u64::from(nego.seq)
-}
-
 /// Batch-scoped prepare memo. CFPs in one batch repeatedly announce the
 /// same `(spec, request)` pairs — every task of a service, every service
 /// stamped from one template — and [`Formulator::prepare`] pays two
-/// `String` key allocations plus a structural verification per call. The
-/// memo answers repeats from a small vector keyed by name and verified by
+/// hashed name lookups plus a structural verification per call. The memo
+/// answers repeats from a small vector keyed by name and verified by
 /// content equality against the batch's first occurrence, so repeated
-/// announcements cost one comparison and zero allocations. Resolution
+/// announcements cost one comparison and no hashing. Resolution
 /// failures are memoised too (`None`), matching `prepare`'s per-call
 /// failure result.
 #[derive(Default)]
@@ -454,16 +446,14 @@ impl ProviderEngine {
                 // The engine finds that subset from the prefix-summed
                 // fully-degraded demands, so shedding costs one admission
                 // test per dropped task instead of a full degradation.
-                // Warm-started per negotiation: later rounds (and repeated
-                // capacities under contention) replay the recorded
-                // degradation trajectory instead of re-running it; the
-                // trajectory is dropped again in `on_release`.
+                // Warm-started per bundle: every CFP announcing the same
+                // prepared tasks, in any negotiation, replays the recorded
+                // degradation trajectory instead of re-running it.
                 let admission = AdmissionControl::new(self.config.policy, self.ledger.available());
                 let bundle: Vec<Arc<PreparedTask>> =
                     prepared.iter().map(|p| Arc::clone(&p.task)).collect();
                 let Some((_, outcome)) =
-                    self.formulator
-                        .formulate_shedding_warm(warm_key(nego), &bundle, &admission)
+                    self.formulator.formulate_shedding_warm(&bundle, &admission)
                 else {
                     return Vec::new();
                 };
@@ -766,9 +756,6 @@ impl ProviderEngine {
         self.commit_round.retain(|(n, _), _| *n != nego);
         self.lease_deadline.retain(|(n, _), _| *n != nego);
         self.lease_armed.remove(&nego);
-        // The negotiation is over: its warm degradation trajectories will
-        // never be replayed again.
-        self.formulator.forget_warm(warm_key(nego));
         Vec::new()
     }
 }
@@ -1286,6 +1273,46 @@ mod tests {
             .on_timer(SimTime(10_000_000), nego(), TimerKind::LeaseCheck)
             .is_empty());
         assert_eq!(p.executing(), vec![(nego(), TaskId(0))]);
+    }
+
+    /// Non-winners never see a `Release`, so nothing per negotiation may
+    /// accumulate in the formulator: every negotiation announcing the
+    /// same bundle shares its one warm trajectory (plus the 1-task prefix
+    /// shedding falls back to), and sharing never changes an offer.
+    #[test]
+    fn warm_trajectories_are_bounded_by_distinct_bundles() {
+        // Two preferred pairs (~36.5 MIPS each) leave ~9 MIPS: enough for
+        // one fully degraded task (~6) but not two, so offers run the
+        // preferred, degraded and shed paths.
+        let mut p = provider(82.0);
+        let (mut degraded, mut shed) = (0, 0);
+        for i in 0..60u32 {
+            let now = SimTime(u64::from(i) * 50_000);
+            // Holds older than the TTL lapse, so the available capacity
+            // both shrinks and grows again across the sequence.
+            p.on_timer(now, nego(), TimerKind::HoldExpiry);
+            let available = p.ledger().available();
+            let msg = Msg::CallForProposals {
+                nego: NegoId {
+                    organizer: i % 7,
+                    seq: i,
+                },
+                tasks: vec![announcement(0), announcement(1)],
+                round: 0,
+            };
+            let actions = p.on_message(now, i % 7, &msg);
+            let mut fresh = ProviderEngine::new(5, available, ProviderConfig::default());
+            let spec = catalog::av_spec();
+            fresh.register_demand_model(spec.name().to_string(), Arc::new(av_demand_model(&spec)));
+            assert_eq!(actions, fresh.on_message(now, i % 7, &msg), "CFP {i}");
+            assert!(p.formulator.warm_entries() <= 2, "CFP {i}");
+            if let Some(Msg::Proposal { proposals, .. }) = actions.first().and_then(Action::payload)
+            {
+                degraded += usize::from(proposals.iter().any(|t| t.levels.iter().any(|&l| l > 0)));
+                shed += usize::from(proposals.len() < 2);
+            }
+        }
+        assert!(degraded > 0 && shed > 0, "degraded {degraded}, shed {shed}");
     }
 
     #[test]

@@ -250,7 +250,7 @@ proptest! {
 
     /// Warm-started formulation is bit-identical to the cold prepared
     /// path. One retained trajectory serves a random *sequence* of
-    /// capacities against the same key, which exercises all three warm
+    /// capacities against the same bundle, which exercises all three warm
     /// regimes: prefix replay (capacity grew), in-place extension
     /// (capacity shrank) and re-replay after extension — each must equal
     /// a from-scratch cold formulation, reward bits included.
@@ -267,17 +267,15 @@ proptest! {
         for cpu in cpus {
             let adm = admission(cpu);
             let cold = formulate_prepared(&refs, &adm);
-            let warm = formulator.formulate_warm(7, &prepared, &adm);
+            let warm = formulator.formulate_warm(&prepared, &adm);
             prop_assert_eq!(&warm, &cold);
         }
         prop_assert_eq!(formulator.warm_entries(), 1);
-        formulator.forget_warm(7);
-        prop_assert_eq!(formulator.warm_entries(), 0);
     }
 
     /// Warm-started prefix shedding returns exactly what the stateless
     /// [`formulate_shedding`] does — same surviving prefix, same
-    /// formulation — across a capacity sequence on one retained key
+    /// formulation — across a capacity sequence on one retained bundle
     /// (monotone bundles, the shedding contract).
     #[test]
     fn warm_shedding_matches_cold_shedding(
@@ -292,8 +290,62 @@ proptest! {
         for cpu in cpus {
             let adm = admission(cpu);
             let cold = formulate_shedding(&refs, &adm);
-            let warm = formulator.formulate_shedding_warm(9, &prepared, &adm);
+            let warm = formulator.formulate_shedding_warm(&prepared, &adm);
             prop_assert_eq!(warm, cold);
         }
+    }
+
+    /// One formulator serves several bundles at once — two unrelated
+    /// bundles and a prefix of the first — under a random interleaving of
+    /// capacities: each bundle keeps exactly one trajectory, whichever
+    /// call recorded it, and every warm answer equals the cold one with
+    /// reward bits included. Shedding then reuses those trajectories for
+    /// its prefix runs, so the table never holds more than one trajectory
+    /// per prefix of the two bundles.
+    #[test]
+    fn warm_trajectories_are_shared_per_bundle(
+        seed in 0u64..(1 << 48), tasks_a in 2usize..=4, tasks_b in 1usize..=4,
+        prefix in 1usize..4,
+        calls in proptest::collection::vec((0usize..3, 0.0f64..60.0), 1..12),
+    ) {
+        let arcs = |world: &World| -> Vec<Arc<PreparedTask>> {
+            prepared_of(world).into_iter().map(Arc::new).collect()
+        };
+        let a = arcs(&random_world(seed, tasks_a, true));
+        let b = arcs(&random_world(seed + 1, tasks_b, true));
+        let a_prefix = a[..prefix.min(tasks_a - 1)].to_vec();
+        let bundles = [a, b, a_prefix];
+        let refs: Vec<Vec<&PreparedTask>> = bundles
+            .iter()
+            .map(|bundle| bundle.iter().map(Arc::as_ref).collect())
+            .collect();
+        let mut formulator = Formulator::new(Arc::new(LinearPenalty::default()));
+        let mut touched = [false; 3];
+        for &(pick, cpu) in &calls {
+            let adm = admission(cpu);
+            let cold = formulate_prepared(&refs[pick], &adm);
+            let warm = formulator.formulate_warm(&bundles[pick], &adm);
+            prop_assert_eq!(&warm, &cold);
+            prop_assert_eq!(
+                warm.ok().map(|f| f.reward.to_bits()),
+                cold.ok().map(|f| f.reward.to_bits())
+            );
+            touched[pick] = true;
+            prop_assert_eq!(
+                formulator.warm_entries(),
+                touched.iter().filter(|&&t| t).count()
+            );
+        }
+        for &(pick, cpu) in &calls {
+            let adm = admission(cpu);
+            let cold = formulate_shedding(&refs[pick], &adm);
+            let warm = formulator.formulate_shedding_warm(&bundles[pick], &adm);
+            prop_assert_eq!(&warm, &cold);
+            prop_assert_eq!(
+                warm.map(|(_, f)| f.reward.to_bits()),
+                cold.map(|(_, f)| f.reward.to_bits())
+            );
+        }
+        prop_assert!(formulator.warm_entries() <= tasks_a + tasks_b);
     }
 }

@@ -11,10 +11,12 @@
 //! throttling the generator, so the measured sustained rate and latency
 //! tail reflect the engine, not the harness.
 
+use std::collections::HashSet;
+
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use qosc_core::{NegoEvent, Pid, Runtime};
+use qosc_core::{LoggedEvent, NegoEvent, NegoId, Pid, Runtime};
 use qosc_netsim::{SimDuration, SimTime};
 use qosc_workloads::AppTemplate;
 
@@ -84,10 +86,13 @@ impl LoadPlan {
 pub struct LoadReport {
     /// Requests submitted (one per arrival).
     pub submitted: usize,
-    /// Negotiations that formed a full coalition.
+    /// Negotiations whose first settle formed a full coalition.
     pub formed: usize,
-    /// Negotiations that ended with unassigned tasks.
+    /// Negotiations whose first settle left tasks unassigned.
     pub incomplete: usize,
+    /// `Formed` events of negotiations that had already settled: a
+    /// reconfiguration after a member failure re-emits `Formed`.
+    pub reformed: usize,
     /// The plan's sampling window (rate normaliser).
     pub window: SimDuration,
     /// Formation-latency sketch over formed negotiations.
@@ -97,6 +102,47 @@ pub struct LoadReport {
 }
 
 impl LoadReport {
+    /// Distils an event log into a report, counting each negotiation once
+    /// at its first `Formed` or `FormationIncomplete`; later `Formed`
+    /// events of the same negotiation count as [`LoadReport::reformed`].
+    /// Formation latency is recorded at the first settle only.
+    pub fn from_events(
+        submitted: usize,
+        window: SimDuration,
+        messages: u64,
+        events: &[LoggedEvent],
+    ) -> LoadReport {
+        let mut report = LoadReport {
+            submitted,
+            formed: 0,
+            incomplete: 0,
+            reformed: 0,
+            window,
+            latency: LatencyHistogram::new(),
+            messages,
+        };
+        let mut settled: HashSet<NegoId> = HashSet::new();
+        for logged in events {
+            match &logged.event {
+                NegoEvent::Formed { nego, metrics } => {
+                    if !settled.insert(*nego) {
+                        report.reformed += 1;
+                        continue;
+                    }
+                    report.formed += 1;
+                    if let Some(lat) = metrics.formation_latency() {
+                        report.latency.record(lat);
+                    }
+                }
+                NegoEvent::FormationIncomplete { nego, .. } if settled.insert(*nego) => {
+                    report.incomplete += 1;
+                }
+                _ => {}
+            }
+        }
+        report
+    }
+
     /// Negotiations that reached a terminal outcome before cut-off.
     pub fn settled(&self) -> usize {
         self.formed + self.incomplete
@@ -164,26 +210,11 @@ impl<'a> LoadDriver<'a> {
         let deadline = last.max(SimTime::ZERO + plan.window) + plan.drain;
         rt.run(deadline);
 
-        let mut report = LoadReport {
-            submitted: plan.arrivals.len(),
-            formed: 0,
-            incomplete: 0,
-            window: plan.window,
-            latency: LatencyHistogram::new(),
-            messages: rt.messages_sent().saturating_sub(messages_before),
-        };
-        for logged in &rt.events()[events_before..] {
-            match &logged.event {
-                NegoEvent::Formed { metrics, .. } => {
-                    report.formed += 1;
-                    if let Some(lat) = metrics.formation_latency() {
-                        report.latency.record(lat);
-                    }
-                }
-                NegoEvent::FormationIncomplete { .. } => report.incomplete += 1,
-                _ => {}
-            }
-        }
-        report
+        LoadReport::from_events(
+            plan.arrivals.len(),
+            plan.window,
+            rt.messages_sent().saturating_sub(messages_before),
+            &rt.events()[events_before..],
+        )
     }
 }

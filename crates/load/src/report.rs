@@ -88,6 +88,7 @@ mod tests {
             submitted,
             formed,
             incomplete: 0,
+            reformed: 0,
             window: SimDuration::secs(10),
             latency,
             messages: 0,

@@ -4,8 +4,10 @@
 //! reaches the same aggregate outcomes as the plain Direct backend on
 //! the same pre-sampled plan.
 
-use qosc_load::{LoadDriver, LoadPlan, PoissonArrivals};
-use qosc_netsim::SimDuration;
+use qosc_core::{LoggedEvent, NegoEvent, NegoId, NegotiationMetrics};
+use qosc_load::{LoadDriver, LoadPlan, LoadReport, PoissonArrivals};
+use qosc_netsim::{SimDuration, SimTime};
+use qosc_spec::TaskId;
 use qosc_workloads::{AppTemplate, Backend, ScenarioConfig};
 
 fn plan(seed: u64) -> LoadPlan {
@@ -86,4 +88,51 @@ fn empty_plan_yields_an_empty_report() {
     assert_eq!(report.settled(), 0);
     assert_eq!(report.formed_ratio(), 0.0);
     assert!(report.latency.is_empty());
+}
+
+/// A reconfiguration after a member failure re-emits `Formed` for a
+/// negotiation that already settled: the tally counts each negotiation
+/// once, at its first settle, and the repeats only as `reformed`.
+#[test]
+fn re_emitted_formed_counts_once() {
+    let nego = |seq| NegoId { organizer: 0, seq };
+    let formed = |seq, started_ms: u64, formed_ms: u64| NegoEvent::Formed {
+        nego: nego(seq),
+        metrics: NegotiationMetrics {
+            started_at: Some(SimTime(started_ms * 1000)),
+            formed_at: Some(SimTime(formed_ms * 1000)),
+            ..Default::default()
+        },
+    };
+    let incomplete = |seq| NegoEvent::FormationIncomplete {
+        nego: nego(seq),
+        unassigned: vec![TaskId(1)],
+        metrics: NegotiationMetrics::default(),
+    };
+    let log: Vec<LoggedEvent> = [
+        formed(0, 0, 10),
+        incomplete(1),
+        formed(2, 5, 20),
+        // Reconfiguration rounds: negotiation 0 re-forms twice, and the
+        // incomplete negotiation 1 forms after all.
+        formed(0, 0, 900),
+        formed(1, 0, 950),
+        formed(0, 0, 1900),
+    ]
+    .into_iter()
+    .enumerate()
+    .map(|(i, event)| LoggedEvent {
+        at: SimTime(i as u64),
+        node: 0,
+        event,
+    })
+    .collect();
+    let report = LoadReport::from_events(3, SimDuration::secs(1), 0, &log);
+    assert_eq!((report.formed, report.incomplete), (2, 1));
+    assert_eq!(report.reformed, 3);
+    assert!(report.formed + report.incomplete <= report.submitted);
+    assert!(report.formed_ratio() <= 1.0);
+    // Latency is taken at the first settle only.
+    assert_eq!(report.latency.count(), 2);
+    assert!(report.latency.quantile(1.0).expect("two samples") < SimDuration::millis(100));
 }
