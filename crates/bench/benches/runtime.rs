@@ -1,12 +1,11 @@
 //! B6 — backend overhead of the unified runtime API: the same dense
-//! 64- and 256-node negotiation on the zero-latency `DirectRuntime` vs
-//! the full DES (`DesRuntime` with geometry, latency modelling and
-//! per-delivery bookkeeping). The gap is the price of the network model
+//! 64- and 256-node negotiation on `Backend::Direct` (the DES in its
+//! zero-latency, full-reach configuration) vs `Backend::Des` (geometry,
+//! radio latency and loss). The gap is the price of the network model
 //! itself; the protocol work (formulation, evaluation, selection) is
-//! identical on both by the cross-backend equivalence test. Both
-//! backends ride the zero-copy delivery plane (`Arc<Msg>` payloads,
-//! spatial-index fan-out on the DES side) — diff the `BENCH_JSON` lines
-//! run-over-run to track it.
+//! identical on both by the cross-backend equivalence test. Both ride
+//! the zero-copy delivery plane (`Arc<Msg>` payloads, spatial-index
+//! fan-out) — diff the `BENCH_JSON` lines run-over-run to track it.
 //!
 //! Emits one JSON line per bench via the criterion shim; set
 //! `BENCH_JSON=<path>` to append them for run-over-run diffing.
@@ -41,10 +40,9 @@ fn bench_runtime_backends(c: &mut Criterion) {
         // A 256-node negotiation costs ~10× the 64-node one; fewer
         // samples keep the suite quick without losing the signal.
         g.sample_size(if nodes >= 256 { 10 } else { 20 });
-        for backend in [Backend::Direct, Backend::DirectBatched, Backend::Des] {
+        for backend in [Backend::Direct, Backend::Des] {
             let name = match backend {
                 Backend::Direct => "direct_dense",
-                Backend::DirectBatched => "direct_batched_dense",
                 Backend::Des => "des_dense",
                 Backend::DesSharded { .. } | Backend::Actor => unreachable!(),
             };

@@ -8,9 +8,9 @@
 //!
 //! Three allocators over the *same* instance per replication: the offline
 //! protocol emulation, the single-node baseline, and — since PR 3 — the
-//! actual §4.2 protocol running on the zero-latency `DirectRuntime`
-//! backend (retry rounds included), which validates that the emulation
-//! tracks the real engines.
+//! actual §4.2 protocol running on the zero-latency DES configuration
+//! (`DesRuntime::instant`, retry rounds included), which validates that
+//! the emulation tracks the real engines.
 
 use qosc_baselines::{protocol_emulation, single_node};
 use qosc_core::{NegoEvent, Runtime, TieBreak};
@@ -33,7 +33,7 @@ fn reps(nodes: usize) -> u64 {
 /// Tasks per service.
 const TASKS: usize = 3;
 
-/// Runs the real protocol on the Direct backend and returns
+/// Runs the real protocol on the zero-latency DES and returns
 /// (mean distance over placed tasks, acceptance ratio).
 fn protocol_run(inst: &qosc_baselines::Instance, template: AppTemplate) -> (f64, f64) {
     let mut rt = instance_runtime(inst);

@@ -185,7 +185,7 @@ fn emit_json(label: &str, formed: f64, dist: f64, unassigned: f64, msgs: f64, sa
 pub fn run() -> Table {
     let mut table = Table::new(
         "F8: strategy-chain comparison on the multi-organizer push grid \
-         (DirectRuntime, simultaneous kickoff)",
+         (zero-latency DES, simultaneous kickoff)",
         &[
             "chain",
             "nodes",

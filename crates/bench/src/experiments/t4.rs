@@ -22,13 +22,14 @@
 //! organizers) and collapses to ≈0.03 at 8×32, where the concurrent
 //! demand exceeds the pool's aggregate capacity several times over.
 //!
-//! Runs on the zero-latency `DirectRuntime` — with the heap-driven
-//! formulation engine the provider side is cheap enough to sweep the
-//! full push grid, since every round makes every provider price the
-//! whole announced bundle.
+//! Runs on `Backend::Direct`, the zero-latency DES configuration — with
+//! the heap-driven formulation engine the provider side is cheap enough
+//! to sweep the full push grid, since every round makes every provider
+//! price the whole announced bundle.
 //!
-//! By the `runtime_equivalence` contract the protocol is identical to
-//! the DES with the network effects turned off.
+//! By the `runtime_equivalence` contract the outcomes are those of the
+//! geometric DES whenever every node is in range and the radio is
+//! instant.
 
 use qosc_core::NegoEvent;
 use qosc_netsim::SimTime;
@@ -113,7 +114,7 @@ fn run_once(
 /// Runs T4 and returns its table.
 pub fn run() -> Table {
     let mut table = Table::new(
-        "T4: multi-organizer contention on DirectRuntime (simultaneous kickoff; \
+        "T4: multi-organizer contention on zero-latency DES (simultaneous kickoff; \
          push grid at 256 nodes on dense and constrained pools)",
         &[
             "nodes",

@@ -2,8 +2,8 @@
 //! at ≥1024 nodes.
 //!
 //! Every other experiment submits a fixed batch and waits; T5 instead
-//! drives the batched `DirectRuntime` with a *pre-sampled Poisson
-//! arrival stream* (`qosc-load`): arrivals fire at their sampled
+//! drives `Backend::Direct` (the zero-latency DES configuration) with a
+//! *pre-sampled Poisson arrival stream* (`qosc-load`): arrivals fire at their sampled
 //! instants whether or not earlier negotiations have settled, so the
 //! system is measured under offered load, not under the generator's
 //! patience. Formed coalitions keep their resources for the rest of the
@@ -56,7 +56,7 @@ fn cell(
         population,
         ..ScenarioConfig::dense(nodes, 0x75_0000 + seed * 31 + nodes as u64)
     };
-    let mut rt = config.build_backend(Backend::DirectBatched);
+    let mut rt = config.build_backend(Backend::Direct);
     let plan = LoadPlan::sampled(
         &PoissonArrivals::new(rate),
         window,
@@ -112,7 +112,7 @@ fn emit_json(label: &str, offered: f64, report: &LoadReport) {
 /// Runs T5 and returns its table.
 pub fn run() -> Table {
     let mut table = Table::new(
-        "T5: open-loop saturation on batched DirectRuntime (Poisson arrivals of \
+        "T5: open-loop saturation on zero-latency DES (Poisson arrivals of \
          4-task services, 64-organizer pool, constrained population; knee = \
          highest offered rate with formed ratio >= 0.95)",
         &[
@@ -172,11 +172,7 @@ pub fn run() -> Table {
             window,
             7,
         );
-        emit_json(
-            &format!("t5/direct_batched-n{nodes}-r{rate}"),
-            rate,
-            &report,
-        );
+        emit_json(&format!("t5/direct-n{nodes}-r{rate}"), rate, &report);
         reports.push((rate, report.clone()));
         report
     });

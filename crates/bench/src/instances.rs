@@ -11,7 +11,7 @@ use rand_chacha::ChaCha8Rng;
 
 use qosc_baselines::{Instance, OfflineNode, OfflineTask};
 use qosc_core::{
-    CoalitionNode, DirectRuntime, EvalConfig, LinearPenalty, OrganizerConfig, OrganizerEngine,
+    CoalitionNode, DesRuntime, EvalConfig, LinearPenalty, OrganizerConfig, OrganizerEngine,
     OrganizerStrategy, ProviderConfig, ProviderEngine, ProviderStrategy, QuadraticPenalty,
     RewardModel, Runtime,
 };
@@ -89,8 +89,14 @@ pub fn population_instance(
 /// also organizes, with the instance's evaluation config and monitoring
 /// off — formation cost only), same capacities, link bandwidths, demand
 /// models and per-node reward policies.
-pub fn instance_runtime(inst: &Instance) -> DirectRuntime {
-    let mut rt = DirectRuntime::new();
+pub fn instance_runtime(inst: &Instance) -> DesRuntime {
+    let width = inst
+        .nodes
+        .iter()
+        .map(|n| n.id as usize + 1)
+        .max()
+        .unwrap_or(0);
+    let mut rt = DesRuntime::instant(width);
     for n in &inst.nodes {
         let reward: Arc<dyn RewardModel> = n
             .reward

@@ -22,31 +22,32 @@
 //! * [`select_winners`] — winner selection with the paper's three-level
 //!   tie-break (evaluation value ≻ communication cost ≻ distinct members),
 //!   fully configurable for ablations ([`TieBreak`]).
-//! * [`runtime`] — one execution API, four backends: the engines run
-//!   unmodified on the deterministic DES ([`DesRuntime`]), its
-//!   region-partitioned parallel sibling ([`DesShardedRuntime`]), the
-//!   live threaded actor transport ([`ActorRuntime`]) or the
-//!   zero-latency in-memory fast path ([`DirectRuntime`]).
+//! * [`runtime`] — one execution API, three backends: the engines run
+//!   unmodified on the deterministic DES ([`DesRuntime`], with a
+//!   zero-latency full-reach configuration, [`DesRuntime::instant`]),
+//!   its region-partitioned parallel sibling ([`DesShardedRuntime`]) or
+//!   the live threaded actor transport ([`ActorRuntime`]).
 //!
 //! ## Quick start
 //!
 //! Three heterogeneous nodes negotiate a one-task coalition on the
-//! zero-latency [`DirectRuntime`]; swap in [`DesRuntime`] or
-//! [`ActorRuntime`] without touching the scenario (see the [`runtime`]
-//! module docs for the three-backend version of this exact snippet).
+//! zero-latency [`DesRuntime::instant`] configuration; swap in a DES
+//! with geometry or the [`ActorRuntime`] without touching the scenario
+//! (see the [`runtime`] module docs for the three-runtime version of
+//! this exact snippet).
 //!
 //! ```
 //! use std::sync::Arc;
 //! use qosc_core::{
-//!     CoalitionNode, DirectRuntime, NegoEvent, OrganizerConfig, OrganizerEngine,
-//!     ProviderConfig, ProviderEngine, Runtime,
+//!     CoalitionNode, DesRuntime, NegoEvent, OrganizerConfig, OrganizerEngine, ProviderConfig,
+//!     ProviderEngine, Runtime,
 //! };
 //! use qosc_netsim::SimTime;
 //! use qosc_resources::{av_demand_model, ResourceVector};
 //! use qosc_spec::{catalog, ServiceDef, TaskDef};
 //!
 //! let spec = catalog::av_spec();
-//! let mut rt = DirectRuntime::new();
+//! let mut rt = DesRuntime::instant(3);
 //! for i in 0..3u32 {
 //!     // Providers with heterogeneous CPU; node 0 also organizes.
 //!     let mut p = ProviderEngine::new(
@@ -111,8 +112,7 @@ pub use protocol::{
 pub use provider::{ProposalStrategy, ProviderConfig, ProviderEngine};
 pub use runtime::{
     dissolve_token, kickoff_token, single_organizer_scenario, ActorRuntime, ActorWire,
-    CoalitionNode, DesRuntime, DesShardedRuntime, DirectRuntime, LoggedEvent, NodeEngine, Runtime,
-    RuntimeError,
+    CoalitionNode, DesRuntime, DesShardedRuntime, LoggedEvent, NodeEngine, Runtime, RuntimeError,
 };
 pub use snapshot::{digest_of, StableHasher, StateDigest};
 pub use strategy::{OrganizerComponent, OrganizerStrategy, ProviderComponent, ProviderStrategy};

@@ -19,7 +19,7 @@ use qosc_netsim::{SimDuration, SimTime};
 use qosc_resources::{
     AdmissionControl, DemandModel, NodeLedger, ResourceVector, SchedulingPolicy, VectorHold,
 };
-use qosc_spec::{QosSpec, ServiceRequest, TaskId};
+use qosc_spec::TaskId;
 
 use crate::formulation::{local_reward, Formulator, LinearPenalty, PreparedTask, RewardModel};
 use crate::protocol::{
@@ -125,44 +125,6 @@ impl std::fmt::Debug for ProviderConfig {
             .field("strategy", &self.strategy)
             .field("chain", &self.chain)
             .finish()
-    }
-}
-
-/// Batch-scoped prepare memo. CFPs in one batch repeatedly announce the
-/// same `(spec, request)` pairs — every task of a service, every service
-/// stamped from one template — and [`Formulator::prepare`] pays two
-/// hashed name lookups plus a structural verification per call. The memo
-/// answers repeats from a small vector keyed by name and verified by
-/// content equality against the batch's first occurrence, so repeated
-/// announcements cost one comparison and no hashing. Resolution
-/// failures are memoised too (`None`), matching `prepare`'s per-call
-/// failure result.
-#[derive(Default)]
-struct PrepMemo<'a> {
-    entries: Vec<(&'a QosSpec, &'a ServiceRequest, Option<Arc<PreparedTask>>)>,
-}
-
-impl<'a> PrepMemo<'a> {
-    fn resolve(
-        &mut self,
-        formulator: &mut Formulator,
-        spec: &'a QosSpec,
-        request: &'a ServiceRequest,
-        model: &Arc<dyn DemandModel>,
-    ) -> Option<Arc<PreparedTask>> {
-        for (s, r, prepared) in &self.entries {
-            if s.name() == spec.name() && r.name == request.name {
-                if **s == *spec && **r == *request {
-                    return prepared.clone();
-                }
-                // Colliding name, different content: fall through to the
-                // formulator, whose cache verifies structurally.
-                break;
-            }
-        }
-        let p = formulator.prepare(spec, request, model);
-        self.entries.push((spec, request, p.clone()));
-        p
     }
 }
 
@@ -331,37 +293,6 @@ impl ProviderEngine {
         tasks: &[TaskAnnouncement],
         round: u32,
     ) -> Vec<Action> {
-        self.price_cfp(now, nego, tasks, round, &mut PrepMemo::default())
-    }
-
-    /// Prices a batch of concurrent deliveries in one pass, sharing one
-    /// prepare memo across every CFP in the batch — exactly equivalent to
-    /// calling [`ProviderEngine::on_message`] per entry in order (pinned
-    /// by the `provider_batch` property test), but announcements repeated
-    /// across the batch are resolved and verified once. Non-CFP messages
-    /// are legal in the batch and take the normal path.
-    pub fn on_cfp_batch<'a>(&mut self, now: SimTime, batch: &[(Pid, &'a Msg)]) -> Vec<Action> {
-        let mut memo = PrepMemo::default();
-        let mut out = Vec::new();
-        for &(from, msg) in batch {
-            match msg {
-                Msg::CallForProposals { nego, tasks, round } => {
-                    out.extend(self.price_cfp(now, *nego, tasks, *round, &mut memo));
-                }
-                _ => out.extend(self.on_message(now, from, msg)),
-            }
-        }
-        out
-    }
-
-    fn price_cfp<'a>(
-        &mut self,
-        now: SimTime,
-        nego: NegoId,
-        tasks: &'a [TaskAnnouncement],
-        round: u32,
-        memo: &mut PrepMemo<'a>,
-    ) -> Vec<Action> {
         if !self.config.participate || tasks.is_empty() {
             return Vec::new();
         }
@@ -424,8 +355,7 @@ impl ProviderEngine {
             let Some(model) = self.demand_models.get(ann.spec.name()).cloned() else {
                 continue;
             };
-            let Some(task) = memo.resolve(&mut self.formulator, &ann.spec, &ann.request, &model)
-            else {
+            let Some(task) = self.formulator.prepare(&ann.spec, &ann.request, &model) else {
                 continue;
             };
             prepared.push(Prepared { ann, task });

@@ -1,20 +1,18 @@
-//! One runtime API, three backends.
+//! One runtime API over two event engines.
 //!
 //! The negotiation engines ([`OrganizerEngine`], [`ProviderEngine`]) are
 //! sans-IO state machines: they consume [`Msg`]s and timers and emit
 //! [`Action`]s. This module packages them behind a uniform execution API so
-//! a scenario description runs unmodified on any of three backends:
+//! a scenario description runs unmodified on any backend:
 //!
 //! * [`DesRuntime`] — the deterministic discrete-event simulator of
 //!   `qosc-netsim`: geometry, latency, loss, mobility, failures. The
-//!   backend every experiment sweep uses. [`DesShardedRuntime`] is the
-//!   same semantics on the region-partitioned parallel simulator, for
-//!   large node counts.
-//! * [`DirectRuntime`] — a zero-latency in-memory event loop (FIFO message
-//!   queue + timer wheel, no geometry, full connectivity). The fast path
-//!   for tests, property checks and benches; at zero network latency it is
-//!   event-for-event identical to the DES (pinned by the
-//!   `runtime_equivalence` system test).
+//!   backend every experiment sweep uses. [`DesRuntime::instant`] is its
+//!   zero-latency configuration (every node static at one point under
+//!   [`RadioModel::instant`]: full reach, no latency, no loss) for tests,
+//!   property checks and benches that do not model the network.
+//!   [`DesShardedRuntime`] is the same semantics on the region-partitioned
+//!   parallel simulator, for large node counts.
 //! * [`ActorRuntime`] — the live threaded transport of `qosc-actors`: one
 //!   OS thread per node, wall-clock timers, a process-wide
 //!   [`Directory`] playing the radio's role.
@@ -23,13 +21,13 @@
 //! provider engine plus the service queue — through the [`NodeEngine`]
 //! trait (`on_start` / `on_message` / `on_timer`, all returning actions).
 //!
-//! # Quickstart — the same scenario on all three backends
+//! # Quickstart — the same scenario on three runtimes
 //!
 //! ```
 //! use std::sync::Arc;
 //! use qosc_core::{
-//!     ActorRuntime, CoalitionNode, DesRuntime, DirectRuntime, NegoEvent, OrganizerConfig,
-//!     OrganizerEngine, ProviderConfig, ProviderEngine, Runtime,
+//!     ActorRuntime, CoalitionNode, DesRuntime, NegoEvent, OrganizerConfig, OrganizerEngine,
+//!     ProviderConfig, ProviderEngine, Runtime,
 //! };
 //! use qosc_netsim::{Mobility, Point, SimConfig, SimTime, Simulator};
 //! use qosc_resources::{av_demand_model, ResourceVector};
@@ -69,13 +67,13 @@
 //!     )
 //! };
 //!
-//! // Three backends, one driver.
+//! // Three runtimes, one driver.
 //! let mut sim = Simulator::new(SimConfig::default());
 //! for i in 0..3 {
 //!     sim.add_node(Point::new(10.0 * i as f64, 0.0), Mobility::Static);
 //! }
 //! let backends: Vec<Box<dyn Runtime>> = vec![
-//!     Box::new(DirectRuntime::new()),
+//!     Box::new(DesRuntime::instant(3)),
 //!     Box::new(DesRuntime::new(sim)),
 //!     Box::new(ActorRuntime::new()),
 //! ];
@@ -84,7 +82,7 @@
 //!         rt.add_node(node).unwrap();
 //!     }
 //!     rt.submit(0, service(), SimTime(1_000)).unwrap();
-//!     // DES/Direct: virtual deadline; Actor: the same horizon in wall time,
+//!     // DES: virtual deadline; Actor: the same horizon in wall time,
 //!     // returning as soon as the negotiation settles.
 //!     rt.run_until_settled(1, SimTime(5_000_000));
 //!     assert!(
@@ -98,9 +96,8 @@
 //! }
 //! ```
 
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -108,8 +105,8 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use qosc_actors::{Actor, ActorCtx, ActorSystem, Addr, Directory};
 use qosc_netsim::{
-    Ctx, DeliveryFault, FaultPlan, FaultSampler, NetApp, NetStats, NodeId, PartitionPlan,
-    PartitionTimeline, ShardedSimulator, SimDuration, SimTime, Simulator,
+    Area, Ctx, FaultPlan, Mobility, NetApp, NetStats, NodeId, PartitionPlan, Point, RadioModel,
+    ShardedSimulator, SimConfig, SimDuration, SimTime, Simulator,
 };
 use qosc_spec::ServiceDef;
 
@@ -282,29 +279,6 @@ impl CoalitionNode {
         out
     }
 
-    /// Routes a burst of same-instant deliveries through the provider's
-    /// batched pricing path ([`ProviderEngine::on_cfp_batch`]): exactly
-    /// equivalent to delivering each message in order, but announcements
-    /// repeated across the batch's CFPs are resolved and compiled once.
-    /// Bursts that are not all CFPs (or a node without a provider) fall
-    /// back to sequential delivery, so callers may hand over any
-    /// same-destination burst.
-    pub fn on_message_batch(&mut self, now: SimTime, batch: &[(Pid, &Msg)]) -> Vec<Action> {
-        let all_cfps = batch
-            .iter()
-            .all(|(_, m)| matches!(m, Msg::CallForProposals { .. }));
-        if !all_cfps || self.provider.is_none() || batch.len() <= 1 {
-            let mut out = Vec::new();
-            for &(from, msg) in batch {
-                out.extend(self.on_message(now, from, msg));
-            }
-            return out;
-        }
-        let p = self.provider.as_mut().expect("checked above");
-        let actions = p.on_cfp_batch(now, batch);
-        self.absorb_local(now, actions)
-    }
-
     fn start_next_service(&mut self, now: SimTime) -> Vec<Action> {
         if self.pending.is_empty() {
             return Vec::new();
@@ -404,7 +378,7 @@ impl crate::snapshot::StateDigest for CoalitionNode {
 /// Per-run event log entry, identical across backends.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoggedEvent {
-    /// When the event surfaced (virtual time on DES/Direct, wall time
+    /// When the event surfaced (virtual time on the DES runtimes, wall time
     /// since runtime creation on Actor).
     pub at: SimTime,
     /// The node whose engine emitted it.
@@ -418,6 +392,7 @@ pub struct LoggedEvent {
 pub enum RuntimeError {
     /// `add_node` saw a node id that is already registered.
     DuplicateNode(Pid),
+    /// `add_node` saw an id with no simulator node behind it, or
     /// `submit`/`schedule_dissolve` addressed an unregistered node.
     UnknownNode(Pid),
     /// `submit` addressed a node with no organizer engine — its kickoff
@@ -429,7 +404,7 @@ impl std::fmt::Display for RuntimeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RuntimeError::DuplicateNode(p) => write!(f, "node {p} is already registered"),
-            RuntimeError::UnknownNode(p) => write!(f, "node {p} is not registered"),
+            RuntimeError::UnknownNode(p) => write!(f, "node {p} is unknown to the runtime"),
             RuntimeError::NoOrganizer(p) => write!(f, "node {p} has no organizer engine"),
         }
     }
@@ -451,17 +426,18 @@ pub fn settled_count(events: &[LoggedEvent]) -> usize {
     events.iter().filter(|e| is_settled(e)).count()
 }
 
-/// Uniform execution API over the three backends.
+/// Uniform execution API over the backends.
 ///
 /// Time is a virtual `SimTime` measured from the runtime's creation. The
-/// DES and Direct backends interpret it exactly; the Actor backend maps it
+/// DES backends interpret it exactly; the Actor backend maps it
 /// onto the wall clock (1 µs of `SimTime` = 1 µs of real time).
 pub trait Runtime {
     /// Short backend identifier for logs and tables.
     fn backend_name(&self) -> &'static str;
 
     /// Registers a node. Duplicate ids are rejected — silently replacing
-    /// an engine mid-scenario was a classic source of lost state.
+    /// an engine mid-scenario was a classic source of lost state — and so
+    /// are ids the backend has no transport endpoint for.
     fn add_node(&mut self, node: CoalitionNode) -> Result<(), RuntimeError>;
 
     /// Queues `service` at `node` and schedules its negotiation to start
@@ -614,6 +590,23 @@ impl DesRuntime {
         }
     }
 
+    /// The zero-latency configuration: `nodes` simulator nodes (ids
+    /// `0..nodes`), all static at one point under
+    /// [`RadioModel::instant`], so every broadcast reaches every other
+    /// node with no latency and no loss. Register one [`CoalitionNode`]
+    /// per id; fault and partition plans install as on any DES.
+    pub fn instant(nodes: usize) -> Self {
+        let mut sim = Simulator::new(SimConfig {
+            area: Area::new(1.0, 1.0),
+            radio: RadioModel::instant(),
+            ..Default::default()
+        });
+        for _ in 0..nodes {
+            sim.add_node(Point::new(0.0, 0.0), Mobility::Static);
+        }
+        Self::new(sim)
+    }
+
     /// The underlying simulator (positions, stats, radio).
     pub fn sim(&self) -> &Simulator<Msg> {
         &self.sim
@@ -658,8 +651,8 @@ impl DesRuntime {
                     // Startup runs outside the event loop, where the DES
                     // has no delivery context; an engine that needs to
                     // announce itself must arm a zero-delay timer instead.
-                    // Failing loudly here keeps the DES-vs-Direct
-                    // equivalence contract honest.
+                    // Failing loudly here keeps the cross-backend
+                    // equivalence contracts honest.
                     Action::Broadcast(_) | Action::Send { .. } => unreachable!(
                         "on_start must not emit messages directly; arm a zero-delay timer"
                     ),
@@ -679,10 +672,11 @@ impl Runtime for DesRuntime {
         if self.host.nodes.contains_key(&id) {
             return Err(RuntimeError::DuplicateNode(id));
         }
-        debug_assert!(
-            (id as usize) < self.sim.node_count(),
-            "register sim node {id} (geometry) before its engines"
-        );
+        // Without a simulator node every timer and delivery for `id`
+        // would be dropped, so a later submit would never settle.
+        if id as usize >= self.sim.node_count() {
+            return Err(RuntimeError::UnknownNode(id));
+        }
         self.host.nodes.insert(id, node);
         Ok(())
     }
@@ -964,10 +958,9 @@ impl Runtime for DesShardedRuntime {
         if self.staged.contains_key(&id) || self.hosts.iter().any(|h| h.nodes.contains_key(&id)) {
             return Err(RuntimeError::DuplicateNode(id));
         }
-        debug_assert!(
-            (id as usize) < self.sim.node_count(),
-            "register sim node {id} (geometry) before its engines"
-        );
+        if id as usize >= self.sim.node_count() {
+            return Err(RuntimeError::UnknownNode(id));
+        }
         if self.frozen {
             let q = self.sim.shard_of(NodeId(id));
             self.hosts[q].nodes.insert(id, node);
@@ -1032,387 +1025,6 @@ impl Runtime for DesShardedRuntime {
 }
 
 // ---------------------------------------------------------------------------
-// Direct backend: zero-latency in-memory FIFO + timer wheel.
-// ---------------------------------------------------------------------------
-
-enum DirectKind {
-    Deliver {
-        from: Pid,
-        to: Pid,
-        /// Shared payload: a broadcast's deliveries all point at one
-        /// allocation.
-        msg: Arc<Msg>,
-    },
-    Timer {
-        node: Pid,
-        token: u64,
-    },
-}
-
-struct DirectEvent {
-    at: SimTime,
-    seq: u64,
-    kind: DirectKind,
-}
-
-impl PartialEq for DirectEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for DirectEvent {}
-impl PartialOrd for DirectEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for DirectEvent {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert for earliest-first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
-/// [`Runtime`] backend with no network at all: messages are delivered at
-/// their send timestamp (FIFO among simultaneous events), timers drive the
-/// clock, every node hears every broadcast.
-///
-/// This is the fast path for tests, property checks and benches — and the
-/// reference semantics for the DES at zero latency: for fully connected,
-/// static, lossless scenarios the two produce identical event logs (the
-/// `runtime_equivalence` system test pins this).
-#[derive(Default)]
-pub struct DirectRuntime {
-    nodes: BTreeMap<Pid, CoalitionNode>,
-    heap: BinaryHeap<DirectEvent>,
-    seq: u64,
-    now: SimTime,
-    started: bool,
-    events: Vec<LoggedEvent>,
-    unicasts: u64,
-    broadcasts: u64,
-    /// Reused broadcast fan-out buffer (the same per-delivery allocation
-    /// `Simulator` avoids with its scratch vec).
-    bcast_scratch: Vec<Pid>,
-    /// Installed when a [`FaultPlan`] with sampling content is set;
-    /// `None` keeps the no-fault path allocation- and RNG-free.
-    fault: Option<FaultSampler>,
-    /// Partition schedule as installed; expanded against the registered
-    /// node set on the first `run` (sampled plans bisect `0..node_count`,
-    /// so expansion must wait until every node is known).
-    partition_plan: Option<PartitionPlan>,
-    /// Expanded schedule consulted per delivery; `None` = never cuts.
-    partition: Option<PartitionTimeline>,
-    /// Deliveries suppressed by the partition schedule.
-    partition_cuts: u64,
-    /// Coalesce same-instant CFP deliveries per target node (see
-    /// [`DirectRuntime::set_cfp_batching`]).
-    cfp_batching: bool,
-}
-
-impl DirectRuntime {
-    /// Creates an empty runtime.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Deliveries suppressed so far by the installed partition schedule.
-    pub fn partition_cuts(&self) -> u64 {
-        self.partition_cuts
-    }
-
-    /// True when the partition schedule separates `a` and `b` at `at`.
-    fn cuts(&self, at: SimTime, a: Pid, b: Pid) -> bool {
-        self.partition
-            .as_ref()
-            .is_some_and(|tl| tl.cuts_at(at, a, b))
-    }
-
-    /// Enables (or disables) coalescing of same-instant CFP deliveries to
-    /// one node into a single batched pricing pass
-    /// ([`CoalitionNode::on_message_batch`]) — the open-loop load path:
-    /// when many negotiations kick off in the same instant, every
-    /// provider hears all their CFPs back-to-back, and batching prepares
-    /// the repeated announcements once instead of once per negotiation.
-    ///
-    /// Off by default. Batching preserves each node's own delivery order
-    /// (the engine outcome per node is pinned identical by the
-    /// `provider_batch` property test) but it *does* regroup
-    /// same-timestamp deliveries across nodes, so the event-for-event
-    /// `runtime_equivalence` pin only applies with batching off.
-    pub fn set_cfp_batching(&mut self, on: bool) {
-        self.cfp_batching = on;
-    }
-
-    fn push(&mut self, at: SimTime, kind: DirectKind) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(DirectEvent { at, seq, kind });
-    }
-
-    /// When (and how often) one logical delivery lands, after consulting
-    /// the fault sampler: `[None, None]` = dropped, one slot = normal,
-    /// two slots = duplicated; reorder jitter pushes a copy later in time.
-    /// Mirrors the DES simulator's fault hook so the two sampled backends
-    /// inject the same fault vocabulary.
-    fn fault_delivery_times(&mut self, base_at: SimTime) -> [Option<SimTime>; 2] {
-        let Some(f) = self.fault.as_mut() else {
-            return [Some(base_at), None];
-        };
-        let mut times = match f.on_delivery() {
-            DeliveryFault::Drop => [None, None],
-            DeliveryFault::None => [Some(base_at), None],
-            DeliveryFault::Duplicate => [Some(base_at), Some(base_at)],
-        };
-        for slot in times.iter_mut().flatten() {
-            if let Some(jitter) = f.reorder() {
-                *slot += jitter;
-            }
-        }
-        times
-    }
-
-    fn apply(&mut self, at: Pid, actions: Vec<Action>) {
-        let now = self.now;
-        for action in actions {
-            match action {
-                Action::Broadcast(msg) => {
-                    self.broadcasts += 1;
-                    // Ascending-pid fan-out mirrors the DES's node order;
-                    // each delivery clones the Arc, never the payload.
-                    let mut targets = std::mem::take(&mut self.bcast_scratch);
-                    targets.clear();
-                    targets.extend(self.nodes.keys().copied().filter(|p| *p != at));
-                    for &to in &targets {
-                        for when in self.fault_delivery_times(now).into_iter().flatten() {
-                            // Cut after the fault draws, on the arrival
-                            // timestamp — the same discipline as the DES
-                            // `Medium`, so RNG streams stay aligned.
-                            if self.cuts(when, at, to) {
-                                self.partition_cuts += 1;
-                                continue;
-                            }
-                            self.push(
-                                when,
-                                DirectKind::Deliver {
-                                    from: at,
-                                    to,
-                                    msg: Arc::clone(&msg),
-                                },
-                            );
-                        }
-                    }
-                    self.bcast_scratch = targets;
-                }
-                Action::Send { to, msg } => {
-                    self.unicasts += 1;
-                    if self.nodes.contains_key(&to) {
-                        for when in self.fault_delivery_times(now).into_iter().flatten() {
-                            if self.cuts(when, at, to) {
-                                self.partition_cuts += 1;
-                                continue;
-                            }
-                            self.push(
-                                when,
-                                DirectKind::Deliver {
-                                    from: at,
-                                    to,
-                                    msg: Arc::clone(&msg),
-                                },
-                            );
-                        }
-                    }
-                }
-                Action::Timer { delay, token } => {
-                    self.push(now + delay, DirectKind::Timer { node: at, token });
-                }
-                Action::Event(event) => self.events.push(LoggedEvent {
-                    at: now,
-                    node: at,
-                    event,
-                }),
-            }
-        }
-    }
-
-    fn start_nodes(&mut self) {
-        if self.started {
-            return;
-        }
-        self.started = true;
-        if let Some(plan) = self.partition_plan.take() {
-            let width = self.nodes.keys().next_back().map_or(0, |p| *p as usize + 1);
-            let tl = plan.expand(width);
-            self.partition = (!tl.is_empty()).then_some(tl);
-        }
-        let now = self.now;
-        let pids: Vec<Pid> = self.nodes.keys().copied().collect();
-        for pid in pids {
-            let actions = self
-                .nodes
-                .get_mut(&pid)
-                .map(|n| n.on_start(now))
-                .unwrap_or_default();
-            self.apply(pid, actions);
-        }
-    }
-}
-
-impl Runtime for DirectRuntime {
-    fn backend_name(&self) -> &'static str {
-        "direct"
-    }
-
-    fn add_node(&mut self, node: CoalitionNode) -> Result<(), RuntimeError> {
-        let id = node.id();
-        if self.nodes.contains_key(&id) {
-            return Err(RuntimeError::DuplicateNode(id));
-        }
-        self.nodes.insert(id, node);
-        Ok(())
-    }
-
-    fn submit(&mut self, node: Pid, service: ServiceDef, at: SimTime) -> Result<(), RuntimeError> {
-        let slot = self
-            .nodes
-            .get_mut(&node)
-            .ok_or(RuntimeError::UnknownNode(node))?;
-        if slot.organizer.is_none() {
-            return Err(RuntimeError::NoOrganizer(node));
-        }
-        let at = at.max(self.now);
-        slot.queue_service_at(at, service);
-        self.push(
-            at,
-            DirectKind::Timer {
-                node,
-                token: kickoff_token(node),
-            },
-        );
-        Ok(())
-    }
-
-    fn schedule_dissolve(&mut self, nego: NegoId, at: SimTime) -> Result<(), RuntimeError> {
-        if !self.nodes.contains_key(&nego.organizer) {
-            return Err(RuntimeError::UnknownNode(nego.organizer));
-        }
-        let at = at.max(self.now);
-        self.push(
-            at,
-            DirectKind::Timer {
-                node: nego.organizer,
-                token: dissolve_token(nego),
-            },
-        );
-        Ok(())
-    }
-
-    fn run(&mut self, deadline: SimTime) -> u64 {
-        self.start_nodes();
-        let mut n = 0;
-        while let Some(head) = self.heap.peek() {
-            if head.at > deadline {
-                self.now = deadline;
-                break;
-            }
-            let ev = self.heap.pop().expect("peeked");
-            self.now = ev.at;
-            match ev.kind {
-                DirectKind::Deliver { from, to, msg } => {
-                    if self.cfp_batching && matches!(&*msg, Msg::CallForProposals { .. }) {
-                        // Coalesce every same-instant CFP delivery bound
-                        // for the same node. Queued same-time events all
-                        // predate anything the batch will push (their seqs
-                        // are lower), so draining them here and re-queueing
-                        // the non-matching ones preserves their order.
-                        let mut batch: Vec<(Pid, Arc<Msg>)> = vec![(from, msg)];
-                        let mut rest: Vec<DirectEvent> = Vec::new();
-                        while self.heap.peek().is_some_and(|e| e.at == ev.at) {
-                            let e = self.heap.pop().expect("peeked");
-                            match e.kind {
-                                DirectKind::Deliver {
-                                    from,
-                                    to: target,
-                                    msg,
-                                } if target == to
-                                    && matches!(&*msg, Msg::CallForProposals { .. }) =>
-                                {
-                                    batch.push((from, msg));
-                                }
-                                kind => rest.push(DirectEvent {
-                                    at: e.at,
-                                    seq: e.seq,
-                                    kind,
-                                }),
-                            }
-                        }
-                        for e in rest {
-                            self.heap.push(e);
-                        }
-                        n += batch.len() as u64 - 1;
-                        let refs: Vec<(Pid, &Msg)> =
-                            batch.iter().map(|(f, m)| (*f, &**m)).collect();
-                        let actions = self
-                            .nodes
-                            .get_mut(&to)
-                            .map(|node| node.on_message_batch(ev.at, &refs))
-                            .unwrap_or_default();
-                        self.apply(to, actions);
-                    } else {
-                        let actions = self
-                            .nodes
-                            .get_mut(&to)
-                            .map(|node| node.on_message(ev.at, from, &msg))
-                            .unwrap_or_default();
-                        self.apply(to, actions);
-                    }
-                }
-                DirectKind::Timer { node, token } => {
-                    let Some((nego, kind)) = decode_timer(token) else {
-                        continue;
-                    };
-                    let actions = self
-                        .nodes
-                        .get_mut(&node)
-                        .map(|n| n.on_timer(ev.at, nego, kind))
-                        .unwrap_or_default();
-                    self.apply(node, actions);
-                }
-            }
-            n += 1;
-        }
-        n
-    }
-
-    fn events(&self) -> &[LoggedEvent] {
-        &self.events
-    }
-
-    fn set_fault_plan(&mut self, plan: FaultPlan) -> bool {
-        self.fault = plan.samples_anything().then(|| FaultSampler::new(plan));
-        true
-    }
-
-    fn set_partition_plan(&mut self, plan: &PartitionPlan) -> bool {
-        self.partition_plan = (!plan.is_none()).then(|| plan.clone());
-        true
-    }
-
-    fn messages_sent(&self) -> u64 {
-        self.unicasts + self.broadcasts
-    }
-
-    fn node(&self, id: Pid) -> Option<&CoalitionNode> {
-        self.nodes.get(&id)
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Actor backend: live threads, wall-clock timers.
 // ---------------------------------------------------------------------------
 
@@ -1453,13 +1065,13 @@ impl ActorNode {
         for action in actions {
             match action {
                 Action::Broadcast(msg) => {
-                    self.sent.fetch_add(1, AtomicOrdering::Relaxed);
+                    self.sent.fetch_add(1, Ordering::Relaxed);
                     // The directory clones the wire struct per peer; every
                     // clone shares this one payload allocation.
                     self.dir.broadcast(id, &ActorWire::Proto { from: id, msg });
                 }
                 Action::Send { to, msg } => {
-                    self.sent.fetch_add(1, AtomicOrdering::Relaxed);
+                    self.sent.fetch_add(1, Ordering::Relaxed);
                     self.dir.send(id, to, ActorWire::Proto { from: id, msg });
                 }
                 Action::Timer { delay, token } => {
@@ -1677,7 +1289,7 @@ impl Runtime for ActorRuntime {
     }
 
     fn messages_sent(&self) -> u64 {
-        self.sent.load(AtomicOrdering::Relaxed)
+        self.sent.load(Ordering::Relaxed)
     }
 
     fn node(&self, _id: Pid) -> Option<&CoalitionNode> {
@@ -1704,7 +1316,6 @@ mod tests {
     use super::*;
     use crate::organizer::OrganizerConfig;
     use crate::provider::{ProviderConfig, ProviderEngine};
-    use qosc_netsim::{Area, Mobility, Point, SimConfig};
     use qosc_resources::{av_demand_model, ResourceVector};
     use qosc_spec::{catalog, TaskDef};
 
@@ -1751,8 +1362,8 @@ mod tests {
         sim
     }
 
-    fn direct_runtime(cpus: &[f64]) -> DirectRuntime {
-        let mut rt = DirectRuntime::new();
+    fn direct_runtime(cpus: &[f64]) -> DesRuntime {
+        let mut rt = DesRuntime::instant(cpus.len());
         for (i, cpu) in cpus.iter().enumerate() {
             let id = i as Pid;
             let mut node = CoalitionNode::new(id).with_provider(provider(id, *cpu));
@@ -1926,7 +1537,7 @@ mod tests {
     fn duplicate_registration_is_rejected_on_every_backend() {
         // Regression: SimHost silently overwrote engines registered under
         // a duplicate Pid, losing ledgers and negotiations.
-        let mut direct = DirectRuntime::new();
+        let mut direct = DesRuntime::instant(8);
         assert!(direct.add_node(CoalitionNode::new(7)).is_ok());
         assert_eq!(
             direct.add_node(CoalitionNode::new(7)),
@@ -1953,7 +1564,7 @@ mod tests {
 
     #[test]
     fn unknown_node_submission_is_rejected() {
-        let mut rt = DirectRuntime::new();
+        let mut rt = DesRuntime::instant(5);
         assert_eq!(
             rt.submit(9, service(1), SimTime::ZERO),
             Err(RuntimeError::UnknownNode(9))
@@ -1976,6 +1587,29 @@ mod tests {
             ),
             Err(RuntimeError::UnknownNode(9))
         );
+    }
+
+    #[test]
+    fn engines_without_a_simulator_node_are_rejected() {
+        // Regression: in release builds an engine registered under an id
+        // with no simulator node was accepted, and a service submitted to
+        // it never settled (its kickoff timer is dropped at the node).
+        let mut des = DesRuntime::instant(2);
+        assert_eq!(
+            des.add_node(CoalitionNode::new(5)),
+            Err(RuntimeError::UnknownNode(5))
+        );
+        assert!(des.node(5).is_none());
+        assert!(des.add_node(CoalitionNode::new(1)).is_ok());
+
+        let mut sim = ShardedSimulator::new(SimConfig::default(), 1);
+        sim.add_node(Point::new(0.0, 0.0), Mobility::Static);
+        let mut sharded = DesShardedRuntime::new(sim);
+        assert_eq!(
+            sharded.add_node(CoalitionNode::new(1)),
+            Err(RuntimeError::UnknownNode(1))
+        );
+        assert!(sharded.add_node(CoalitionNode::new(0)).is_ok());
     }
 
     #[test]

@@ -1,8 +1,6 @@
 //! End-to-end load-driver behaviour against real scenario runtimes:
-//! the open-loop accounting adds up, and the batched Direct backend
-//! (same-instant CFP coalescing + warm-started provider formulation)
-//! reaches the same aggregate outcomes as the plain Direct backend on
-//! the same pre-sampled plan.
+//! the open-loop accounting adds up and a pre-sampled plan replays
+//! deterministically.
 
 use qosc_core::{LoggedEvent, NegoEvent, NegoId, NegotiationMetrics};
 use qosc_load::{LoadDriver, LoadPlan, LoadReport, PoissonArrivals};
@@ -51,28 +49,6 @@ fn runs_are_deterministic_per_seed() {
     assert_eq!(a.incomplete, b.incomplete);
     assert_eq!(a.messages, b.messages);
     assert_eq!(a.latency.quantile(0.9), b.latency.quantile(0.9));
-}
-
-/// CFP batching is an engine-side optimisation; driven with the same
-/// plan it must reach the same aggregate outcomes as unbatched Direct.
-/// (Per-message traces may interleave differently inside one virtual
-/// instant; outcomes and latency quantiles may not.)
-#[test]
-fn batched_backend_matches_direct_outcomes() {
-    for seed in [1u64, 11, 42] {
-        let direct = drive(Backend::Direct, seed);
-        let batched = drive(Backend::DirectBatched, seed);
-        assert_eq!(direct.submitted, batched.submitted, "seed {seed}");
-        assert_eq!(direct.formed, batched.formed, "seed {seed}");
-        assert_eq!(direct.incomplete, batched.incomplete, "seed {seed}");
-        for q in [0.5, 0.9, 0.99] {
-            assert_eq!(
-                direct.latency.quantile(q),
-                batched.latency.quantile(q),
-                "seed {seed}, q {q}"
-            );
-        }
-    }
 }
 
 #[test]

@@ -129,8 +129,8 @@ pub fn check_all(view: &SystemView<'_>, invariants: &[Invariant]) -> Result<(), 
     Ok(())
 }
 
-/// Checks `invariants` against live nodes of a runtime backend (DES,
-/// Direct): pass the node ids the scenario registered. Nodes the backend
+/// Checks `invariants` against live nodes of a runtime backend (the DES
+/// runtimes): pass the node ids the scenario registered. Nodes the backend
 /// cannot expose (the Actor runtime) are skipped. `quiescent` should be
 /// `true` only when the caller knows no protocol event remains in flight
 /// (e.g. after `run_until_settled` plus a drained horizon).

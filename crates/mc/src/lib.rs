@@ -40,8 +40,8 @@
 //! ## Worked example: 2 organizers × 2 providers, drop + duplicate
 //!
 //! The scenario code is exactly what [`DesRuntime`](qosc_core::DesRuntime)
-//! or [`DirectRuntime`](qosc_core::DirectRuntime) would take, with one
-//! convention: use the `for_model_checking` configurations. They pin
+//! (with geometry or in its [`instant`](qosc_core::DesRuntime::instant)
+//! configuration) would take, with one convention: use the `for_model_checking` configurations. They pin
 //! every duration to zero — the explorer is time-abstract and visits
 //! every timer-vs-delivery ordering regardless, so nonzero durations
 //! only smear path-dependent timestamps into the state digest — and
@@ -140,7 +140,7 @@
 //!
 //! The same [`FaultPlan`](qosc_netsim::FaultPlan) drives the sampled backends: `set_fault_plan`
 //! on [`DesRuntime`](qosc_core::DesRuntime) or
-//! [`DirectRuntime`](qosc_core::DirectRuntime) draws drop / duplicate /
+//! [`DesShardedRuntime`](qosc_core::DesShardedRuntime) draws drop / duplicate /
 //! reorder faults probabilistically (deterministic per seed), and
 //! [`verify_runtime`] evaluates the very same invariant closures at
 //! settle time. A property proved exhaustively on a small instance and

@@ -65,7 +65,7 @@ pub(crate) struct InFlight {
 }
 
 /// One armed timer. `seq` breaks deadline ties in arming order, exactly
-/// like the DES and Direct backends' `(time, sequence)` total order.
+/// like the DES backends' `(time, sequence)` total order.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub(crate) struct PendingTimer {
     pub fire_at: SimTime,

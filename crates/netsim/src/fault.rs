@@ -20,8 +20,8 @@
 //!   remains (reorder needs no budget there: the explorer already visits
 //!   every delivery order), and branches partition/heal transitions under
 //!   the [`FaultPlan::max_partitions`] budget;
-//! * the **sampled backends** (DES simulator, sharded DES, direct
-//!   runtime) draw message faults probabilistically through a
+//! * the **sampled backends** (DES simulator, sharded DES) draw message
+//!   faults probabilistically through a
 //!   [`FaultSampler`], seeded separately from the radio RNG so that
 //!   enabling faults perturbs nothing else, and enforce partitions at
 //!   delivery time through a pre-expanded [`PartitionTimeline`] — a pure
@@ -333,8 +333,8 @@ impl PartitionEvent {
 /// [`PartitionTimeline`] that every backend consults at delivery time.
 /// Because the expansion happens up front and the per-delivery check is
 /// a pure timestamp lookup, installing a plan consumes no randomness
-/// during the run: the sequential DES, the sharded DES, and the direct
-/// runtime cut exactly the same links on the same draws.
+/// during the run: the sequential and the sharded DES cut exactly the
+/// same links on the same draws.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PartitionPlan {
     /// Explicitly scripted events.

@@ -45,9 +45,8 @@ impl Default for RadioModel {
 
 impl RadioModel {
     /// A zero-latency, lossless radio: every message arrives at its send
-    /// timestamp. This is the DES configuration whose event order is
-    /// pinned against the in-memory direct runtime by the cross-backend
-    /// equivalence test.
+    /// timestamp. With every node in range this is the full-reach,
+    /// zero-latency DES configuration tests and benches run on.
     pub fn instant() -> Self {
         Self {
             bitrate_kbps: f64::INFINITY,

@@ -863,9 +863,8 @@ impl Medium<'_> {
     /// Applies the partition schedule to planned delivery copies: any
     /// copy whose *delivery* timestamp falls while `src ↔ dst` is cut is
     /// discarded (counted in `partition_cuts`). Runs after every random
-    /// draw and consumes none itself, so the sequential DES, the sharded
-    /// DES, and the direct runtime cut exactly the same links on the
-    /// same draws.
+    /// draw and consumes none itself, so the sequential and the sharded
+    /// DES cut exactly the same links on the same draws.
     fn cut_partitioned(
         &self,
         mut times: [Option<SimTime>; 2],

@@ -1,6 +1,7 @@
 //! The sampled side of the shared fault vocabulary: the same
 //! [`FaultPlan`] the model checker branches over exhaustively is drawn
-//! probabilistically by the DES and Direct backends. These tests pin the
+//! probabilistically by the DES backends (with geometry and in the
+//! zero-latency Direct configuration). These tests pin the
 //! two properties that make sampled fault runs usable evidence:
 //! determinism (a fixed plan seed reproduces the run bit-for-bit) and
 //! safety (the model checker's shipped invariants hold at settle even

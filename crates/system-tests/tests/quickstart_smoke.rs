@@ -3,7 +3,7 @@
 //! the same constructors and actually form a coalition — on every
 //! backend of the unified runtime API.
 
-use qosc_core::{ActorRuntime, DirectRuntime, NegoEvent, Runtime};
+use qosc_core::{ActorRuntime, DesRuntime, NegoEvent, Runtime};
 use qosc_netsim::SimTime;
 use qosc_system_tests::{quickstart_nodes, quickstart_scenario, quickstart_service};
 
@@ -48,14 +48,14 @@ fn quickstart_scenario_is_deterministic() {
 /// through the one `Runtime` API.
 #[test]
 fn quickstart_runs_on_every_backend() {
-    let backends: Vec<Box<dyn Runtime>> = vec![
-        Box::new(DirectRuntime::new()),
-        Box::new(quickstart_scenario()), // DES, nodes pre-registered
-        Box::new(ActorRuntime::new()),
+    // Each entry says whether its nodes and service are already in place.
+    let backends: Vec<(Box<dyn Runtime>, bool)> = vec![
+        (Box::new(DesRuntime::instant(3)), false),
+        (Box::new(quickstart_scenario()), true),
+        (Box::new(ActorRuntime::new()), false),
     ];
-    for mut rt in backends {
-        let des = rt.backend_name() == "des";
-        if !des {
+    for (mut rt, prepared) in backends {
+        if !prepared {
             for node in quickstart_nodes() {
                 rt.add_node(node).unwrap();
             }

@@ -1,13 +1,14 @@
-//! Cross-backend equivalence: the DES at zero network latency and the
-//! in-memory Direct runtime must be *event-for-event identical* for
-//! fully connected, static, lossless scenarios — same assignments, same
-//! metrics, same timestamps, same message counts.
+//! Cross-backend equivalence: the DES with geometry (nodes placed in an
+//! area, every pair in range, instant radio) and `Backend::Direct` (the
+//! same DES without geometry: every node at one point) must be
+//! *event-for-event identical* — same assignments, same metrics, same
+//! timestamps, same message counts.
 //!
-//! This is the contract that makes `DirectRuntime` a legitimate fast
-//! path: anything it computes (tests, property checks, benches) is
-//! exactly what the full simulator would have computed with the network
-//! effects turned off. Runs under `PROPTEST_CASES` (64 locally, 256 in
-//! CI).
+//! This is the contract that makes `Backend::Direct` a legitimate
+//! stand-in: anything it computes (tests, property checks, benches) is
+//! exactly what the placed simulation would have computed under full
+//! reach with the network effects turned off. Runs under
+//! `PROPTEST_CASES` (64 locally, 256 in CI).
 //!
 //! The live `ActorRuntime` gets the weaker — but still strong — *outcome*
 //! contract: its event log rides wall-clock timestamps and thread

@@ -4,8 +4,9 @@
 //! every decision, so plugging components in cannot introduce
 //! backend-specific divergence.
 //!
-//! Same contract split as `runtime_equivalence`: DES at zero latency is
-//! event-for-event identical to Direct; the live Actor backend matches
+//! Same contract split as `runtime_equivalence`: the DES with geometry
+//! (every node in range, instant radio) is event-for-event identical to
+//! Direct, the DES without geometry; the live Actor backend matches
 //! Direct on winner maps and formation message counts.
 
 use std::collections::BTreeMap;

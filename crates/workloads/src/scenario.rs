@@ -11,8 +11,8 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use qosc_core::{
-    ActorRuntime, CoalitionNode, DesRuntime, DesShardedRuntime, DirectRuntime, LoggedEvent, Msg,
-    OrganizerConfig, OrganizerEngine, ProviderConfig, ProviderEngine, Runtime,
+    ActorRuntime, CoalitionNode, DesRuntime, DesShardedRuntime, LoggedEvent, Msg, OrganizerConfig,
+    OrganizerEngine, ProviderConfig, ProviderEngine, Runtime,
 };
 use qosc_netsim::{
     Area, Mobility, NetStats, PartitionPlan, RadioModel, ShardedSimulator, SimConfig, SimDuration,
@@ -39,14 +39,12 @@ pub enum Backend {
         /// capped by the node count).
         workers: usize,
     },
-    /// The zero-latency in-memory runtime: no geometry (full
-    /// connectivity), the fast path for tests and benches.
+    /// The DES in its zero-latency configuration
+    /// ([`DesRuntime::instant`]): every node static at one point under
+    /// an instant radio, so full reach, no latency and no loss. Ignores
+    /// the config's `area`, `radio` and `mobility`; for tests and benches
+    /// that do not model the network.
     Direct,
-    /// [`Backend::Direct`] with same-instant CFP deliveries coalesced
-    /// per provider into one batched pricing pass
-    /// (`DirectRuntime::set_cfp_batching`) — the open-loop load-engine
-    /// path, where many negotiations kick off in the same instant.
-    DirectBatched,
     /// The live threaded actor transport: wall-clock timers, full
     /// connectivity through the process-wide directory.
     Actor,
@@ -73,8 +71,8 @@ pub struct ScenarioConfig {
     pub provider: ProviderConfig,
     /// Link-level partition schedule, installed on every backend that
     /// enforces cuts ([`Backend::Des`], [`Backend::DesSharded`],
-    /// [`Backend::Direct`]/[`Backend::DirectBatched`]; the actor
-    /// transport has no fault layer). Empty by default.
+    /// [`Backend::Direct`]; the actor transport has no fault layer).
+    /// Empty by default.
     pub partitions: PartitionPlan,
     /// RNG seed (drives placement, population and the simulator).
     pub seed: u64,
@@ -154,18 +152,13 @@ impl ScenarioConfig {
     /// Instantiates the scenario description on any [`Runtime`] backend.
     /// The population draw is identical across backends (profiles are
     /// sampled before any backend-specific randomness); geometry and
-    /// mobility only exist on [`Backend::Des`] — the other backends are
-    /// fully connected.
+    /// mobility only exist on [`Backend::Des`] and [`Backend::DesSharded`]
+    /// — the other backends are fully connected.
     pub fn build_backend(&self, backend: Backend) -> Box<dyn Runtime> {
         let mut rt: Box<dyn Runtime> = match backend {
             Backend::Des => return Box::new(Scenario::build(self).runtime),
             Backend::DesSharded { workers } => return Box::new(self.build_sharded(workers)),
-            Backend::Direct => Box::new(DirectRuntime::new()),
-            Backend::DirectBatched => {
-                let mut direct = DirectRuntime::new();
-                direct.set_cfp_batching(true);
-                Box::new(direct)
-            }
+            Backend::Direct => Box::new(DesRuntime::instant(self.nodes)),
             Backend::Actor => Box::new(ActorRuntime::new()),
         };
         for node in self.population_nodes() {
@@ -380,6 +373,36 @@ mod tests {
         let (cuts, settled) = split(PartitionPlan::none());
         assert_eq!(cuts, 0);
         assert!(settled);
+    }
+
+    #[test]
+    fn direct_backend_ignores_geometry() {
+        // Backend::Direct is the zero-latency DES configuration: area,
+        // radio and mobility of the config must not reach it.
+        let run = |config: ScenarioConfig| {
+            let mut rt = config.build_backend(Backend::Direct);
+            let mut rng = ChaCha8Rng::seed_from_u64(5);
+            let svc = AppTemplate::Surveillance.service("svc", 3, &mut rng);
+            rt.submit(0, svc, SimTime(1_000)).expect("node 0 organizes");
+            rt.run(SimTime(5_000_000));
+            (rt.events().to_vec(), rt.messages_sent())
+        };
+        let geometric = ScenarioConfig {
+            mobility: Some(pedestrian(2.0)),
+            seed: 9,
+            ..Default::default()
+        };
+        let flat = ScenarioConfig {
+            area: Area::new(1.0, 1.0),
+            radio: RadioModel::instant(),
+            mobility: None,
+            ..geometric.clone()
+        };
+        let (events, messages) = run(geometric);
+        assert!(events
+            .iter()
+            .any(|e| matches!(e.event, NegoEvent::Formed { .. })));
+        assert_eq!((events, messages), run(flat));
     }
 
     #[test]
