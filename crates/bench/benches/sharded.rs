@@ -1,20 +1,16 @@
 //! B9 — sharded-DES throughput: the region-partitioned conservative
-//! parallel simulator against the sequential engine.
+//! parallel simulator at 1/2/4 workers.
 //!
 //! Two groups:
 //!
 //! * `sharded_netsim` — a spatially uniform gossip workload (every node
 //!   beacons once per tick, receivers stay silent) at constant density
-//!   on the sequential `Simulator` and on `ShardedSimulator` at 1/2/4
-//!   workers. The one-worker leg is the overhead gate for the sharding
-//!   machinery itself: per-event cost must stay within ~10% of
-//!   sequential, because the parallel path is only worth having if the
-//!   serial floor does not move. Speedup above 1 on the 2/4-worker legs
-//!   needs real cores — on a single-core runner they only guard against
-//!   pathological slowdowns.
+//!   on the `Simulator` at 1/2/4 workers. Speedup of the 2/4-worker legs
+//!   over `sharded_w1` needs real cores — on a single-core runner they
+//!   only guard against pathological slowdowns.
 //! * `sharded_runtime` — B6's dense 256-node negotiation on
-//!   `Backend::Des` vs `Backend::DesSharded`, i.e. the same comparison
-//!   through the full coalition-formation stack.
+//!   `Backend::Des` vs `Backend::DesSharded` at 2/4 workers, i.e. the
+//!   same comparison through the full coalition-formation stack.
 //!
 //! Emits one JSON line per bench via the criterion shim; set
 //! `BENCH_JSON=<path>` to append them for run-over-run diffing and
@@ -24,8 +20,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use qosc_core::NegoEvent;
 use qosc_netsim::{
-    Area, Ctx, Mobility, NetApp, NodeId, ShardedSimulator, SimConfig, SimDuration, SimTime,
-    Simulator,
+    Area, Ctx, Mobility, NetApp, NodeId, SimConfig, SimDuration, SimTime, Simulator,
 };
 use qosc_workloads::{AppTemplate, Backend, PopulationConfig, ScenarioConfig};
 use rand::SeedableRng;
@@ -65,32 +60,20 @@ fn stagger(i: usize) -> SimDuration {
     SimDuration::micros(1 + (i as u64 * 997) % TICK.as_micros())
 }
 
-fn gossip_sequential(nodes: usize) -> u64 {
-    let mut sim = Simulator::new(config(nodes));
-    for i in 0..nodes {
-        let id = sim.add_node_random(Mobility::Static);
-        sim.schedule_timer(id, stagger(i), 0);
-    }
-    sim.run_until(&mut Gossip, WINDOW)
-}
-
 fn gossip_sharded(nodes: usize, workers: usize) -> u64 {
-    let mut sim = ShardedSimulator::new(config(nodes), workers);
+    let mut sim = Simulator::with_workers(config(nodes), workers);
     for i in 0..nodes {
         let id = sim.add_node_random(Mobility::Static);
         sim.schedule_timer(id, stagger(i), 0);
     }
     let mut apps: Vec<Gossip> = (0..sim.shard_count()).map(|_| Gossip).collect();
-    sim.run_until(&mut apps, WINDOW)
+    sim.run_shards(&mut apps, WINDOW)
 }
 
 fn bench_sharded_netsim(c: &mut Criterion) {
     let mut g = c.benchmark_group("sharded_netsim");
     g.sample_size(10);
     for nodes in [256usize, 1024] {
-        g.bench_with_input(BenchmarkId::new("sequential", nodes), &nodes, |b, &n| {
-            b.iter(|| gossip_sequential(n))
-        });
         for workers in [1usize, 2, 4] {
             g.bench_with_input(
                 BenchmarkId::new(format!("sharded_w{workers}"), nodes),
@@ -124,7 +107,6 @@ fn bench_sharded_runtime(c: &mut Criterion) {
     let nodes = 256usize;
     for (name, backend) in [
         ("des_dense", Backend::Des),
-        ("des_sharded_w1_dense", Backend::DesSharded { workers: 1 }),
         ("des_sharded_w2_dense", Backend::DesSharded { workers: 2 }),
         ("des_sharded_w4_dense", Backend::DesSharded { workers: 4 }),
     ] {

@@ -1,6 +1,6 @@
 //! T6 — sharded-DES scaling: wall-clock throughput of the
-//! region-partitioned conservative parallel simulator against the
-//! sequential engine at 1024–4096 nodes.
+//! region-partitioned conservative parallel simulator at 1/2/4 workers
+//! and 1024–4096 nodes.
 //!
 //! The workload is a spatially uniform beacon gossip at constant
 //! density (600 m²/node, ~13 neighbours under the default 50 m radio;
@@ -9,13 +9,13 @@
 //! silent. Load therefore scales linearly with node count and is spread
 //! over the whole area — the regime region partitioning is built for (a
 //! single-origin flood would pin all work onto one shard). Each cell
-//! runs the same 100 ms window on the sequential `Simulator` and on
-//! `ShardedSimulator` at 1/2/4 workers, reports events/s, and pins the
-//! event count against the sequential leg (the conservative protocol
-//! may not change what gets simulated). The freeze/partition step is
-//! excluded from the timed region — it is a one-off O(n log n) sort.
+//! runs the same 100 ms window on the `Simulator` at 1/2/4 workers,
+//! reports events/s, and pins the 2- and 4-worker event counts against
+//! the 1-worker leg (the conservative protocol may not change what gets
+//! simulated). The freeze/partition step is excluded from the timed
+//! region — it is a one-off O(n log n) sort.
 //!
-//! Speedup is wall-clock relative to the sequential engine at the same
+//! Speedup is wall-clock relative to the 1-worker leg at the same
 //! scale; reaching the ≥3× target at 4 workers needs ≥4 physical cores
 //! (on fewer cores the parallel legs time-slice and the column reads
 //! ≈1/workers). Set `T6_SMOKE=1` for the small single-cell CI variant
@@ -24,8 +24,7 @@
 use std::time::Instant;
 
 use qosc_netsim::{
-    Area, Ctx, Mobility, NetApp, NodeId, ShardedSimulator, SimConfig, SimDuration, SimTime,
-    Simulator,
+    Area, Ctx, Mobility, NetApp, NodeId, SimConfig, SimDuration, SimTime, Simulator,
 };
 
 use crate::table::{f, Table};
@@ -66,40 +65,25 @@ fn stagger(i: usize) -> SimDuration {
     SimDuration::micros(1 + (i as u64 * 997) % TICK.as_micros())
 }
 
-/// One timed leg: `workers = None` runs the sequential `Simulator`,
-/// `Some(w)` the sharded engine. Returns (events processed, wall s).
-fn leg(nodes: usize, workers: Option<usize>, window: SimTime) -> (u64, f64) {
-    match workers {
-        None => {
-            let mut sim = Simulator::new(config(nodes));
-            for i in 0..nodes {
-                let id = sim.add_node_random(Mobility::Static);
-                sim.schedule_timer(id, stagger(i), 0);
-            }
-            let t0 = Instant::now();
-            let n = sim.run_until(&mut Gossip, window);
-            (n, t0.elapsed().as_secs_f64())
-        }
-        Some(w) => {
-            let mut sim = ShardedSimulator::new(config(nodes), w);
-            for i in 0..nodes {
-                let id = sim.add_node_random(Mobility::Static);
-                sim.schedule_timer(id, stagger(i), 0);
-            }
-            // Freeze (spatial sort + partition) outside the timed region.
-            let mut apps: Vec<Gossip> = (0..sim.shard_count()).map(|_| Gossip).collect();
-            let t0 = Instant::now();
-            let n = sim.run_until(&mut apps, window);
-            (n, t0.elapsed().as_secs_f64())
-        }
+/// One timed leg on `workers` workers. Returns (events processed, wall s).
+fn leg(nodes: usize, workers: usize, window: SimTime) -> (u64, f64) {
+    let mut sim = Simulator::with_workers(config(nodes), workers);
+    for i in 0..nodes {
+        let id = sim.add_node_random(Mobility::Static);
+        sim.schedule_timer(id, stagger(i), 0);
     }
+    // Freeze (spatial sort + partition) outside the timed region.
+    let mut apps: Vec<Gossip> = (0..sim.shard_count()).map(|_| Gossip).collect();
+    let t0 = Instant::now();
+    let n = sim.run_shards(&mut apps, window);
+    (n, t0.elapsed().as_secs_f64())
 }
 
 /// Appends one machine-readable line per leg when `BENCH_JSON` is set
 /// (same file and line discipline as the criterion-shim benches).
-fn emit_json(nodes: usize, engine: &str, workers: usize, events: u64, wall: f64, speedup: f64) {
+fn emit_json(nodes: usize, workers: usize, events: u64, wall: f64, speedup: f64) {
     let json = format!(
-        "{{\"benchmark\":\"t6/gossip-n{nodes}-{engine}-w{workers}\",\
+        "{{\"benchmark\":\"t6/gossip-n{nodes}-sharded-w{workers}\",\
          \"nodes\":{nodes},\"workers\":{workers},\"events\":{events},\
          \"wall_ms\":{:.3},\"events_per_s\":{:.0},\"speedup\":{speedup:.3}}}",
         wall * 1e3,
@@ -129,11 +113,10 @@ fn emit_json(nodes: usize, engine: &str, workers: usize, events: u64, wall: f64,
 pub fn run() -> Table {
     let mut table = Table::new(
         "T6: sharded-DES scaling on uniform beacon gossip at constant density \
-         (events/s and wall-clock speedup vs the sequential engine; the 4-worker \
+         (events/s and wall-clock speedup vs 1 worker; the 4-worker \
          leg needs >=4 physical cores to show its >=3x target)",
         &[
             "nodes",
-            "engine",
             "workers",
             "events",
             "wall_ms",
@@ -147,29 +130,19 @@ pub fn run() -> Table {
         (&[1024, 4096], SimTime(100_000))
     };
     for &nodes in node_counts {
-        let (seq_events, seq_wall) = leg(nodes, None, window);
-        emit_json(nodes, "seq", 1, seq_events, seq_wall, 1.0);
-        table.row(vec![
-            nodes.to_string(),
-            "des".to_string(),
-            "1".to_string(),
-            seq_events.to_string(),
-            f(seq_wall * 1e3),
-            f(seq_events as f64 / seq_wall.max(1e-9)),
-            f(1.0),
-        ]);
+        let mut base: Option<(u64, f64)> = None;
         for workers in [1usize, 2, 4] {
-            let (events, wall) = leg(nodes, Some(workers), window);
+            let (events, wall) = leg(nodes, workers, window);
+            let (base_events, base_wall) = *base.get_or_insert((events, wall));
             assert_eq!(
-                events, seq_events,
-                "{nodes} nodes, {workers} workers: sharded engine processed a \
-                 different event count than the sequential engine"
+                events, base_events,
+                "{nodes} nodes, {workers} workers: processed a different event \
+                 count than the 1-worker leg"
             );
-            let speedup = seq_wall / wall.max(1e-9);
-            emit_json(nodes, "sharded", workers, events, wall, speedup);
+            let speedup = base_wall / wall.max(1e-9);
+            emit_json(nodes, workers, events, wall, speedup);
             table.row(vec![
                 nodes.to_string(),
-                "des-sharded".to_string(),
                 workers.to_string(),
                 events.to_string(),
                 f(wall * 1e3),

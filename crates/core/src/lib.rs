@@ -22,11 +22,11 @@
 //! * [`select_winners`] — winner selection with the paper's three-level
 //!   tie-break (evaluation value ≻ communication cost ≻ distinct members),
 //!   fully configurable for ablations ([`TieBreak`]).
-//! * [`runtime`] — one execution API, three backends: the engines run
+//! * [`runtime`] — one execution API, two transports: the engines run
 //!   unmodified on the deterministic DES ([`DesRuntime`], with a
-//!   zero-latency full-reach configuration, [`DesRuntime::instant`]),
-//!   its region-partitioned parallel sibling ([`DesShardedRuntime`]) or
-//!   the live threaded actor transport ([`ActorRuntime`]).
+//!   zero-latency full-reach configuration, [`DesRuntime::instant`], and
+//!   spatial shards on worker threads for large node counts) or the live
+//!   threaded actor transport ([`ActorRuntime`]).
 //!
 //! ## Quick start
 //!
@@ -112,7 +112,7 @@ pub use protocol::{
 pub use provider::{ProposalStrategy, ProviderConfig, ProviderEngine};
 pub use runtime::{
     dissolve_token, kickoff_token, single_organizer_scenario, ActorRuntime, ActorWire,
-    CoalitionNode, DesRuntime, DesShardedRuntime, LoggedEvent, NodeEngine, Runtime, RuntimeError,
+    CoalitionNode, DesRuntime, LoggedEvent, NodeEngine, Runtime, RuntimeError,
 };
 pub use snapshot::{digest_of, StableHasher, StateDigest};
 pub use strategy::{OrganizerComponent, OrganizerStrategy, ProviderComponent, ProviderStrategy};

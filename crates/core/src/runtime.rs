@@ -10,9 +10,9 @@
 //!   backend every experiment sweep uses. [`DesRuntime::instant`] is its
 //!   zero-latency configuration (every node static at one point under
 //!   [`RadioModel::instant`]: full reach, no latency, no loss) for tests,
-//!   property checks and benches that do not model the network.
-//!   [`DesShardedRuntime`] is the same semantics on the region-partitioned
-//!   parallel simulator, for large node counts.
+//!   property checks and benches that do not model the network. Built on
+//!   a [`Simulator::with_workers`] simulator, it runs the event loop's
+//!   spatial shards on worker threads, for large node counts.
 //! * [`ActorRuntime`] — the live threaded transport of `qosc-actors`: one
 //!   OS thread per node, wall-clock timers, a process-wide
 //!   [`Directory`] playing the radio's role.
@@ -106,7 +106,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use qosc_actors::{Actor, ActorCtx, ActorSystem, Addr, Directory};
 use qosc_netsim::{
     Area, Ctx, FaultPlan, Mobility, NetApp, NetStats, NodeId, PartitionPlan, Point, RadioModel,
-    ShardedSimulator, SimConfig, SimDuration, SimTime, Simulator,
+    SimConfig, SimDuration, SimTime, Simulator,
 };
 use qosc_spec::ServiceDef;
 
@@ -517,11 +517,14 @@ pub fn dissolve_token(nego: NegoId) -> u64 {
 // DES backend.
 // ---------------------------------------------------------------------------
 
-/// The engine host plugged into the DES event loop.
+/// One shard's engine host: the [`CoalitionNode`]s of that shard's nodes
+/// plus its slice of the current run's event log, tagged with the
+/// simulator's total-order key so per-shard logs merge into one
+/// deterministic sequence after the run.
 #[derive(Default)]
 struct DesHost {
     nodes: BTreeMap<Pid, CoalitionNode>,
-    events: Vec<LoggedEvent>,
+    events: Vec<((SimTime, u32, u64), LoggedEvent)>,
 }
 
 impl DesHost {
@@ -537,11 +540,14 @@ impl DesHost {
                     ctx.unicast(NodeId(at), NodeId(to), bytes, msg);
                 }
                 Action::Timer { delay, token } => ctx.timer(NodeId(at), delay, token),
-                Action::Event(event) => self.events.push(LoggedEvent {
-                    at: ctx.now,
-                    node: at,
-                    event,
-                }),
+                Action::Event(event) => self.events.push((
+                    ctx.order_key(),
+                    LoggedEvent {
+                        at: ctx.now,
+                        node: at,
+                        event,
+                    },
+                )),
             }
         }
     }
@@ -573,10 +579,20 @@ impl NetApp<Msg> for DesHost {
 ///
 /// Construct the [`Simulator`] first (node positions, radio model,
 /// mobility, scheduled failures), then register one [`CoalitionNode`] per
-/// simulator node id.
+/// simulator node id. A simulator built with
+/// [`Simulator::with_workers`] runs its shards on worker threads: the
+/// first `run` distributes the nodes into one host per shard, so a
+/// worker only ever touches its own shard's engines. After every run the
+/// run's log entries are merged in total-order-key order and appended to
+/// [`Runtime::events`]; for a given worker count the log is the same
+/// whether the deadline is reached in one run or in many.
 pub struct DesRuntime {
     sim: Simulator<Msg>,
-    host: DesHost,
+    /// One host per shard once started; before that every node waits in
+    /// `hosts[0]`.
+    hosts: Vec<DesHost>,
+    /// Startup events, then each run's entries in key order.
+    events: Vec<LoggedEvent>,
     started: bool,
 }
 
@@ -585,7 +601,8 @@ impl DesRuntime {
     pub fn new(sim: Simulator<Msg>) -> Self {
         Self {
             sim,
-            host: DesHost::default(),
+            hosts: vec![DesHost::default()],
+            events: Vec::new(),
             started: false,
         }
     }
@@ -624,28 +641,23 @@ impl DesRuntime {
         self.sim.stats()
     }
 
+    /// Starts every engine in pid order and distributes the nodes into
+    /// one host per shard. Runs once, implied by the first `run`.
     fn start_nodes(&mut self) {
         if self.started {
             return;
         }
         self.started = true;
         let now = self.sim.now();
-        let mut startup: Vec<(Pid, Vec<Action>)> = Vec::new();
-        for (pid, node) in self.host.nodes.iter_mut() {
-            let actions = node.on_start(now);
-            if !actions.is_empty() {
-                startup.push((*pid, actions));
-            }
-        }
-        for (pid, actions) in startup {
-            for action in actions {
+        for (pid, node) in self.hosts[0].nodes.iter_mut() {
+            for action in node.on_start(now) {
                 match action {
                     Action::Timer { delay, token } => {
-                        self.sim.schedule_timer(NodeId(pid), delay, token)
+                        self.sim.schedule_timer(NodeId(*pid), delay, token)
                     }
-                    Action::Event(event) => self.host.events.push(LoggedEvent {
+                    Action::Event(event) => self.events.push(LoggedEvent {
                         at: now,
-                        node: pid,
+                        node: *pid,
                         event,
                     }),
                     // Startup runs outside the event loop, where the DES
@@ -659,6 +671,19 @@ impl DesRuntime {
                 }
             }
         }
+        let shards = self.sim.shard_count();
+        if shards > 1 {
+            let nodes = std::mem::take(&mut self.hosts[0].nodes);
+            self.hosts.resize_with(shards, DesHost::default);
+            for (pid, node) in nodes {
+                let q = self.sim.shard_of(NodeId(pid));
+                self.hosts[q].nodes.insert(pid, node);
+            }
+        }
+    }
+
+    fn node_mut(&mut self, id: Pid) -> Option<&mut CoalitionNode> {
+        self.hosts.iter_mut().find_map(|h| h.nodes.get_mut(&id))
     }
 }
 
@@ -669,7 +694,7 @@ impl Runtime for DesRuntime {
 
     fn add_node(&mut self, node: CoalitionNode) -> Result<(), RuntimeError> {
         let id = node.id();
-        if self.host.nodes.contains_key(&id) {
+        if self.node(id).is_some() {
             return Err(RuntimeError::DuplicateNode(id));
         }
         // Without a simulator node every timer and delivery for `id`
@@ -677,16 +702,17 @@ impl Runtime for DesRuntime {
         if id as usize >= self.sim.node_count() {
             return Err(RuntimeError::UnknownNode(id));
         }
-        self.host.nodes.insert(id, node);
+        let q = if self.started {
+            self.sim.shard_of(NodeId(id))
+        } else {
+            0
+        };
+        self.hosts[q].nodes.insert(id, node);
         Ok(())
     }
 
     fn submit(&mut self, node: Pid, service: ServiceDef, at: SimTime) -> Result<(), RuntimeError> {
-        let slot = self
-            .host
-            .nodes
-            .get_mut(&node)
-            .ok_or(RuntimeError::UnknownNode(node))?;
+        let slot = self.node_mut(node).ok_or(RuntimeError::UnknownNode(node))?;
         if slot.organizer.is_none() {
             return Err(RuntimeError::NoOrganizer(node));
         }
@@ -698,7 +724,7 @@ impl Runtime for DesRuntime {
     }
 
     fn schedule_dissolve(&mut self, nego: NegoId, at: SimTime) -> Result<(), RuntimeError> {
-        if !self.host.nodes.contains_key(&nego.organizer) {
+        if self.node(nego.organizer).is_none() {
             return Err(RuntimeError::UnknownNode(nego.organizer));
         }
         let delay = at.since(self.sim.now());
@@ -707,9 +733,23 @@ impl Runtime for DesRuntime {
         Ok(())
     }
 
+    /// Runs the simulator to `deadline`, then appends the run's log
+    /// entries. Every entry of a run is keyed after every entry of the
+    /// runs before it (its time is past their deadlines), so sorting just
+    /// the new entries keeps the whole log in key order; equal keys only
+    /// arise within one handler invocation — one shard — so the stable
+    /// sort preserves their emission order.
     fn run(&mut self, deadline: SimTime) -> u64 {
         self.start_nodes();
-        self.sim.run_until(&mut self.host, deadline)
+        let n = self.sim.run_shards(&mut self.hosts, deadline);
+        let mut tagged: Vec<_> = self
+            .hosts
+            .iter_mut()
+            .flat_map(|h| h.events.drain(..))
+            .collect();
+        tagged.sort_by_key(|(key, _)| *key);
+        self.events.extend(tagged.into_iter().map(|(_, e)| e));
+        n
     }
 
     fn set_fault_plan(&mut self, plan: FaultPlan) -> bool {
@@ -723,7 +763,7 @@ impl Runtime for DesRuntime {
     }
 
     fn events(&self) -> &[LoggedEvent] {
-        &self.host.events
+        &self.events
     }
 
     fn messages_sent(&self) -> u64 {
@@ -731,7 +771,7 @@ impl Runtime for DesRuntime {
     }
 
     fn node(&self, id: Pid) -> Option<&CoalitionNode> {
-        self.host.nodes.get(&id)
+        self.hosts.iter().find_map(|h| h.nodes.get(&id))
     }
 }
 
@@ -770,258 +810,6 @@ pub fn single_organizer_scenario(
     rt.submit(0, service, SimTime::ZERO + start)
         .expect("node 0 registered");
     rt
-}
-
-// ---------------------------------------------------------------------------
-// Sharded DES backend: region-partitioned conservative parallel simulation.
-// ---------------------------------------------------------------------------
-
-/// One shard's engine host: the [`CoalitionNode`]s of that shard's nodes
-/// plus its slice of the event log. Run events are tagged with the
-/// simulator's total-order key so per-shard logs merge into one
-/// deterministic sequence afterwards.
-#[derive(Default)]
-struct ShardHost {
-    nodes: BTreeMap<Pid, CoalitionNode>,
-    events: Vec<((SimTime, u32, u64), LoggedEvent)>,
-}
-
-impl ShardHost {
-    fn apply(&mut self, ctx: &mut Ctx<'_, Msg>, at: Pid, actions: Vec<Action>) {
-        for action in actions {
-            match action {
-                Action::Broadcast(msg) => {
-                    let bytes = msg.estimated_bytes();
-                    ctx.broadcast(NodeId(at), bytes, msg);
-                }
-                Action::Send { to, msg } => {
-                    let bytes = msg.estimated_bytes();
-                    ctx.unicast(NodeId(at), NodeId(to), bytes, msg);
-                }
-                Action::Timer { delay, token } => ctx.timer(NodeId(at), delay, token),
-                Action::Event(event) => self.events.push((
-                    ctx.order_key(),
-                    LoggedEvent {
-                        at: ctx.now,
-                        node: at,
-                        event,
-                    },
-                )),
-            }
-        }
-    }
-}
-
-impl NetApp<Msg> for ShardHost {
-    fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, at: NodeId, from: NodeId, msg: &Msg) {
-        let pid = at.0;
-        if let Some(node) = self.nodes.get_mut(&pid) {
-            let actions = node.on_message(ctx.now, from.0, msg);
-            self.apply(ctx, pid, actions);
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, at: NodeId, token: u64) {
-        let Some((nego, kind)) = decode_timer(token) else {
-            return;
-        };
-        let pid = at.0;
-        if let Some(node) = self.nodes.get_mut(&pid) {
-            let actions = node.on_timer(ctx.now, nego, kind);
-            self.apply(ctx, pid, actions);
-        }
-    }
-}
-
-/// [`Runtime`] backend over the region-partitioned parallel simulator
-/// ([`ShardedSimulator`]): same geometry, latency, loss and failure
-/// semantics as [`DesRuntime`], with the event loop split across worker
-/// threads under a conservative-lookahead horizon protocol.
-///
-/// Engine hosting follows the partition: nodes registered before the
-/// first `run` are distributed into one host per shard, so a
-/// worker thread only ever touches its own shard's engines. The event
-/// log is merged across shards in total-order-key order after every run
-/// — at one worker it is identical, entry for entry, to what
-/// [`DesRuntime`] logs for the same scenario (pinned by the
-/// sharded-equivalence system test); at higher worker counts it is the
-/// same set of events in the same deterministic order for a given
-/// partition.
-pub struct DesShardedRuntime {
-    sim: ShardedSimulator<Msg>,
-    /// Nodes registered before the partition froze (pid order).
-    staged: BTreeMap<Pid, CoalitionNode>,
-    /// One host per shard once frozen.
-    hosts: Vec<ShardHost>,
-    /// Events emitted by `on_start`, before any simulator context exists.
-    prelude: Vec<LoggedEvent>,
-    /// Merged log: prelude + key-sorted run events; rebuilt after runs.
-    merged: Vec<LoggedEvent>,
-    frozen: bool,
-}
-
-impl DesShardedRuntime {
-    /// Wraps a prepared sharded simulator.
-    pub fn new(sim: ShardedSimulator<Msg>) -> Self {
-        Self {
-            sim,
-            staged: BTreeMap::new(),
-            hosts: Vec::new(),
-            prelude: Vec::new(),
-            merged: Vec::new(),
-            frozen: false,
-        }
-    }
-
-    /// The underlying simulator (positions, stats, radio, shard layout).
-    pub fn sim(&self) -> &ShardedSimulator<Msg> {
-        &self.sim
-    }
-
-    /// Mutable simulator access for DES-only controls (failure injection,
-    /// extra timers).
-    pub fn sim_mut(&mut self) -> &mut ShardedSimulator<Msg> {
-        &mut self.sim
-    }
-
-    /// The full network counters, merged across shards.
-    pub fn net_stats(&self) -> NetStats {
-        self.sim.stats()
-    }
-
-    /// Starts every engine (pid order, like [`DesRuntime`]) and
-    /// distributes the staged nodes into per-shard hosts. Runs once,
-    /// implied by the first `run`.
-    fn freeze(&mut self) {
-        if self.frozen {
-            return;
-        }
-        self.frozen = true;
-        let now = self.sim.now();
-        for (pid, node) in self.staged.iter_mut() {
-            for action in node.on_start(now) {
-                match action {
-                    Action::Timer { delay, token } => {
-                        self.sim.schedule_timer(NodeId(*pid), delay, token)
-                    }
-                    Action::Event(event) => self.prelude.push(LoggedEvent {
-                        at: now,
-                        node: *pid,
-                        event,
-                    }),
-                    // Same contract as the sequential DES backend: no
-                    // delivery context exists outside the event loop.
-                    Action::Broadcast(_) | Action::Send { .. } => unreachable!(
-                        "on_start must not emit messages directly; arm a zero-delay timer"
-                    ),
-                }
-            }
-        }
-        let shards = self.sim.shard_count();
-        self.hosts = (0..shards).map(|_| ShardHost::default()).collect();
-        for (pid, node) in std::mem::take(&mut self.staged) {
-            let q = self.sim.shard_of(NodeId(pid));
-            self.hosts[q].nodes.insert(pid, node);
-        }
-        self.merged = self.prelude.clone();
-    }
-
-    /// Rebuilds the merged event log: prelude first (startup precedes the
-    /// event loop), then every shard's entries sorted by total-order key.
-    /// Equal keys only arise within one handler invocation — one shard —
-    /// so the stable sort preserves their emission order.
-    fn rebuild_events(&mut self) {
-        let mut tagged: Vec<&((SimTime, u32, u64), LoggedEvent)> =
-            self.hosts.iter().flat_map(|h| h.events.iter()).collect();
-        tagged.sort_by_key(|(key, _)| *key);
-        self.merged.clear();
-        self.merged.extend(self.prelude.iter().cloned());
-        self.merged
-            .extend(tagged.into_iter().map(|(_, e)| e.clone()));
-    }
-
-    fn node_mut(&mut self, id: Pid) -> Option<&mut CoalitionNode> {
-        if self.staged.contains_key(&id) {
-            return self.staged.get_mut(&id);
-        }
-        self.hosts.iter_mut().find_map(|h| h.nodes.get_mut(&id))
-    }
-}
-
-impl Runtime for DesShardedRuntime {
-    fn backend_name(&self) -> &'static str {
-        "des-sharded"
-    }
-
-    fn add_node(&mut self, node: CoalitionNode) -> Result<(), RuntimeError> {
-        let id = node.id();
-        if self.staged.contains_key(&id) || self.hosts.iter().any(|h| h.nodes.contains_key(&id)) {
-            return Err(RuntimeError::DuplicateNode(id));
-        }
-        if id as usize >= self.sim.node_count() {
-            return Err(RuntimeError::UnknownNode(id));
-        }
-        if self.frozen {
-            let q = self.sim.shard_of(NodeId(id));
-            self.hosts[q].nodes.insert(id, node);
-        } else {
-            self.staged.insert(id, node);
-        }
-        Ok(())
-    }
-
-    fn submit(&mut self, node: Pid, service: ServiceDef, at: SimTime) -> Result<(), RuntimeError> {
-        let slot = self.node_mut(node).ok_or(RuntimeError::UnknownNode(node))?;
-        if slot.organizer.is_none() {
-            return Err(RuntimeError::NoOrganizer(node));
-        }
-        slot.queue_service_at(at, service);
-        let delay = at.since(self.sim.now());
-        self.sim
-            .schedule_timer(NodeId(node), delay, kickoff_token(node));
-        Ok(())
-    }
-
-    fn schedule_dissolve(&mut self, nego: NegoId, at: SimTime) -> Result<(), RuntimeError> {
-        if self.node_mut(nego.organizer).is_none() {
-            return Err(RuntimeError::UnknownNode(nego.organizer));
-        }
-        let delay = at.since(self.sim.now());
-        self.sim
-            .schedule_timer(NodeId(nego.organizer), delay, dissolve_token(nego));
-        Ok(())
-    }
-
-    fn run(&mut self, deadline: SimTime) -> u64 {
-        self.freeze();
-        let n = self.sim.run_until(&mut self.hosts, deadline);
-        self.rebuild_events();
-        n
-    }
-
-    fn set_fault_plan(&mut self, plan: FaultPlan) -> bool {
-        self.sim.set_fault_plan(plan);
-        true
-    }
-
-    fn set_partition_plan(&mut self, plan: &PartitionPlan) -> bool {
-        self.sim.set_partition_plan(plan);
-        true
-    }
-
-    fn events(&self) -> &[LoggedEvent] {
-        &self.merged
-    }
-
-    fn messages_sent(&self) -> u64 {
-        self.sim.stats().messages_sent()
-    }
-
-    fn node(&self, id: Pid) -> Option<&CoalitionNode> {
-        self.staged
-            .get(&id)
-            .or_else(|| self.hosts.iter().find_map(|h| h.nodes.get(&id)))
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1602,9 +1390,9 @@ mod tests {
         assert!(des.node(5).is_none());
         assert!(des.add_node(CoalitionNode::new(1)).is_ok());
 
-        let mut sim = ShardedSimulator::new(SimConfig::default(), 1);
+        let mut sim = Simulator::with_workers(SimConfig::default(), 4);
         sim.add_node(Point::new(0.0, 0.0), Mobility::Static);
-        let mut sharded = DesShardedRuntime::new(sim);
+        let mut sharded = DesRuntime::new(sim);
         assert_eq!(
             sharded.add_node(CoalitionNode::new(1)),
             Err(RuntimeError::UnknownNode(1))

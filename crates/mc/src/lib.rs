@@ -138,10 +138,10 @@
 //!
 //! ## One fault vocabulary, two consumers
 //!
-//! The same [`FaultPlan`](qosc_netsim::FaultPlan) drives the sampled backends: `set_fault_plan`
-//! on [`DesRuntime`](qosc_core::DesRuntime) or
-//! [`DesShardedRuntime`](qosc_core::DesShardedRuntime) draws drop / duplicate /
-//! reorder faults probabilistically (deterministic per seed), and
+//! The same [`FaultPlan`](qosc_netsim::FaultPlan) drives the sampled
+//! backend: `set_fault_plan` on [`DesRuntime`](qosc_core::DesRuntime), at
+//! any worker count, draws drop / duplicate / reorder faults
+//! probabilistically (deterministic per seed), and
 //! [`verify_runtime`] evaluates the very same invariant closures at
 //! settle time. A property proved exhaustively on a small instance and
 //! spot-checked on a seeded 200-node run is exercised by the *same*

@@ -205,10 +205,10 @@ pub enum DeliveryFault {
 
 /// Draws faults for a sampled backend according to a [`FaultPlan`].
 ///
-/// Owns a dedicated `ChaCha8Rng` seeded from `plan.seed`, so fault draws
-/// never perturb the backend's own randomness: two runs with the same
-/// seeds are bit-identical whether or not a plan is installed, and a plan
-/// that samples nothing consumes no randomness at all.
+/// Owns a dedicated `ChaCha8Rng` seeded from `(plan.seed, node)`, so
+/// fault draws never perturb the backend's own randomness: two runs with
+/// the same seeds are bit-identical whether or not a plan is installed,
+/// and a plan that samples nothing consumes no randomness at all.
 #[derive(Debug, Clone)]
 pub struct FaultSampler {
     plan: FaultPlan,
@@ -219,23 +219,12 @@ pub struct FaultSampler {
 }
 
 impl FaultSampler {
-    /// Creates a sampler for `plan`.
-    pub fn new(plan: FaultPlan) -> Self {
-        Self {
-            plan,
-            rng: ChaCha8Rng::seed_from_u64(plan.seed),
-            drops_done: 0,
-            duplicates_done: 0,
-            reorders_done: 0,
-        }
-    }
-
     /// Creates the per-node sampler stream for `node`: seeded from
     /// `(plan.seed, node)` so each node draws an independent fault
     /// stream regardless of how deliveries interleave across nodes.
-    /// Budgets (`max_*`) apply per stream. This is what the sharded
-    /// simulator (and, since the per-node RNG split, the sequential one)
-    /// uses so fault sampling is deterministic per node.
+    /// Budgets (`max_*`) apply per stream. The simulator keeps one per
+    /// node, so fault sampling is deterministic per node at any worker
+    /// count.
     pub fn for_node(plan: FaultPlan, node: u32) -> Self {
         Self {
             plan,
@@ -537,8 +526,8 @@ mod tests {
                 .map(|_| (s.on_delivery(), s.reorder()))
                 .collect::<Vec<_>>()
         };
-        let a = draw(FaultSampler::new(plan));
-        let b = draw(FaultSampler::new(plan));
+        let a = draw(FaultSampler::for_node(plan, 0));
+        let b = draw(FaultSampler::for_node(plan, 0));
         assert_eq!(a, b);
         assert!(a.iter().any(|(f, _)| *f == DeliveryFault::Drop));
         assert!(a.iter().any(|(f, _)| *f == DeliveryFault::Duplicate));
@@ -553,7 +542,7 @@ mod tests {
             reorder_jitter: SimDuration::millis(1),
             ..FaultPlan::none()
         };
-        let mut s = FaultSampler::new(plan);
+        let mut s = FaultSampler::for_node(plan, 0);
         let hits = (0..20).filter(|_| s.reorder().is_some()).count();
         assert_eq!(hits, 4, "max_reorders must cap reordered deliveries");
         assert!(!FaultPlan::none().with_max_reorders(1).is_none());
@@ -579,18 +568,24 @@ mod tests {
             ..FaultPlan::none()
         };
         assert!(!plan.samples_anything());
-        let mut s = FaultSampler::new(plan);
+        let mut s = FaultSampler::for_node(plan, 0);
         assert!((0..50).all(|_| s.reorder().is_none()));
         // No randomness consumed: the underlying stream is untouched, so
         // a drop draw afterwards matches a fresh sampler's first draw.
-        let mut fresh = FaultSampler::new(FaultPlan {
-            drop_prob: 0.5,
-            ..plan
-        });
-        let mut used = FaultSampler::new(FaultPlan {
-            drop_prob: 0.5,
-            ..plan
-        });
+        let mut fresh = FaultSampler::for_node(
+            FaultPlan {
+                drop_prob: 0.5,
+                ..plan
+            },
+            0,
+        );
+        let mut used = FaultSampler::for_node(
+            FaultPlan {
+                drop_prob: 0.5,
+                ..plan
+            },
+            0,
+        );
         for _ in 0..50 {
             let _ = used.reorder();
         }
@@ -606,7 +601,7 @@ mod tests {
             duplicate_prob: 1.0,
             ..FaultPlan::none()
         };
-        let mut s = FaultSampler::new(plan);
+        let mut s = FaultSampler::for_node(plan, 0);
         let faults: Vec<_> = (0..10).map(|_| s.on_delivery()).collect();
         let drops = faults.iter().filter(|f| **f == DeliveryFault::Drop).count();
         let dups = faults

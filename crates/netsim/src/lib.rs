@@ -15,27 +15,27 @@
 //! * [`RadioModel`] — range, bitrate, latency, loss.
 //! * [`NeighbourIndex`] — spatial grid behind neighbour queries and
 //!   broadcast fan-out (rebuilt on each mobility tick).
-//! * [`Simulator`] + [`NetApp`] — the event loop and the sans-IO protocol
-//!   hook; applications send via [`Ctx`]. Payloads ride the heap behind
-//!   `Arc<M>`: a broadcast allocates once regardless of fan-out.
+//! * [`Simulator`] + [`NetApp`] — the event engine and the sans-IO
+//!   protocol hook; applications send via [`Ctx`]. Payloads ride the heap
+//!   behind `Arc<M>`: a broadcast allocates once regardless of fan-out.
+//!   [`Simulator::with_workers`] partitions the nodes into spatial shards
+//!   that [`Simulator::run_shards`] runs on worker threads under a
+//!   conservative-lookahead horizon protocol; [`Simulator::run_until`]
+//!   runs every shard through one app on the calling thread.
 //! * [`NetStats`] — message/latency counters for the T1 experiment.
 //! * [`FaultPlan`] / [`FaultSampler`] — drop/duplicate/reorder fault
 //!   injection, sharing one vocabulary with the `qosc-mc` model checker.
 //! * [`PartitionPlan`] / [`PartitionTimeline`] — link-level partition
 //!   and heal schedules (scripted or sampled), enforced identically at
 //!   delivery time by every backend.
-//! * [`ShardedSimulator`] — the same event loop partitioned into spatial
-//!   shards and run on worker threads under a conservative-lookahead
-//!   horizon protocol (see the [`shard`](crate::ShardedSimulator) docs).
 //!
 //! Determinism: every node owns a private `ChaCha8Rng` stream seeded from
 //! `(run seed, node id)` (placement and mobility draw from a separate
 //! control stream), events are totally ordered by `(time, origin shard,
 //! sequence)` with keys assigned at schedule time, and the clock is
-//! integral — equal seeds give bit-identical traces on the sequential
-//! engine and on the sharded engine at any worker count that preserves
-//! the run shape (asserted by tests, including a sequential-vs-sharded
-//! bit-equality pin at one worker).
+//! integral — equal seeds and worker counts give bit-identical traces,
+//! and runs at different worker counts process the same events with the
+//! same outcomes (asserted by tests).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -58,7 +58,6 @@ pub use geometry::{Area, Point};
 pub use grid::NeighbourIndex;
 pub use mobility::{Mobility, MobilityState};
 pub use radio::RadioModel;
-pub use shard::ShardedSimulator;
 pub use sim::{Ctx, NetApp, NodeId, SimConfig, Simulator};
 pub use stats::NetStats;
 pub use time::{SimDuration, SimTime};

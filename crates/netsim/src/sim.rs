@@ -1,16 +1,16 @@
-//! The discrete-event simulator core.
+//! The discrete-event simulator.
 //!
 //! [`Simulator`] owns the node table (positions, mobility, liveness), the
-//! radio model, a seeded RNG and a totally ordered event heap. Application
-//! logic — the negotiation protocol — lives *outside* the simulator behind
-//! the sans-IO [`NetApp`] trait: handlers receive events plus a [`Ctx`]
-//! through which they emit unicast/broadcast/timer commands. The simulator
-//! applies the commands after each handler returns, which keeps handlers
-//! free of borrow entanglement and makes every run bit-reproducible for a
-//! given seed. Events are totally ordered by `(time, origin shard,
-//! sequence number)`; the sequential simulator always stamps shard 0, so
-//! its order is the classic `(time, seq)` one, while the sharded engine
-//! ([`crate::ShardedSimulator`]) reuses the same key with real shard ids.
+//! radio model, a seeded control RNG and the event queues of its shards
+//! (one by default; the `shard` module holds the per-shard machinery).
+//! Application logic — the negotiation protocol — lives *outside* the
+//! simulator behind the sans-IO [`NetApp`] trait: handlers receive events
+//! plus a [`Ctx`] through which they emit unicast/broadcast/timer
+//! commands. The simulator applies the commands after each handler
+//! returns, which keeps handlers free of borrow entanglement and makes
+//! every run bit-reproducible for a given seed. Events are totally ordered by
+//! `(time, origin shard, sequence number)`, assigned at schedule time;
+//! with one shard this is the classic `(time, seq)` order.
 //!
 //! Randomness is split into **per-node streams**: every node owns a
 //! `ChaCha8Rng` seeded from `(run seed, node id)`, and all draws made
@@ -18,9 +18,9 @@
 //! `ctx.rng`, radio loss draws for the messages it sends, fault-plan
 //! sampling — come from node *n*'s stream. A node's randomness therefore
 //! depends only on the sequence of events it handles, not on how events
-//! at *other* nodes interleave, which is what lets the sharded engine
-//! run regions concurrently without perturbing any draw. A separate
-//! control RNG (seeded from the run seed) drives placement
+//! at *other* nodes interleave, which is what lets shards run
+//! concurrently without perturbing any draw. A separate control RNG
+//! (seeded from the run seed) drives placement
 //! ([`Simulator::add_node_random`]) and mobility ticks.
 //!
 //! # The zero-copy delivery plane
@@ -36,7 +36,6 @@
 //! per event.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use rand::SeedableRng;
@@ -47,6 +46,7 @@ use crate::geometry::{Area, Point};
 use crate::grid::NeighbourIndex;
 use crate::mobility::{Mobility, MobilityState};
 use crate::radio::RadioModel;
+use crate::shard::{execute_event, run_workers, Fabric, Partition, ShardState};
 use crate::stats::NetStats;
 use crate::time::{SimDuration, SimTime};
 
@@ -133,8 +133,8 @@ pub(crate) enum EventKind<M> {
 }
 
 /// A heap entry. Events are totally ordered by `(at, shard, seq)`:
-/// `shard` is the shard that *scheduled* the event (always 0 in the
-/// sequential simulator) and `seq` its per-shard sequence number, both
+/// `shard` is the shard that *scheduled* the event (always 0 with one
+/// worker) and `seq` its per-shard sequence number, both
 /// assigned at push time — so the order is a pure function of what was
 /// scheduled, never of heap internals or thread interleaving.
 pub(crate) struct Scheduled<M> {
@@ -216,10 +216,10 @@ pub struct Ctx<'a, M> {
 
 impl<'a, M> Ctx<'a, M> {
     /// Total-order key `(time, origin shard, sequence)` of the event
-    /// currently being handled. Identical seeds give identical keys, on
-    /// the sequential and the sharded engine alike (the sequential one
-    /// always reports shard 0), so runtimes can tag log entries with it
-    /// and later merge per-shard logs into one deterministic order.
+    /// currently being handled. Identical seeds and worker counts give
+    /// identical keys (one worker always reports shard 0), so runtimes
+    /// can tag log entries with it and later merge per-shard logs into
+    /// one deterministic order.
     pub fn order_key(&self) -> (SimTime, u32, u64) {
         self.key
     }
@@ -282,67 +282,71 @@ impl<'a, M> Ctx<'a, M> {
 }
 
 /// The deterministic discrete-event network simulator.
+///
+/// One engine for every worker count. [`Simulator::new`] runs one shard
+/// on the calling thread; [`Simulator::with_workers`] splits the node
+/// population into up to `workers` spatial shards that
+/// [`run_shards`](Simulator::run_shards) executes on worker threads
+/// under a conservative-lookahead horizon protocol when the run is
+/// eligible (the crate's `shard` module documents the protocol).
+/// [`run_until`](Simulator::run_until) runs every shard through one app
+/// on the calling thread. The node→shard partition freezes at the first
+/// run; nodes added later join the last shard.
 pub struct Simulator<M> {
     config: SimConfig,
+    workers: usize,
     nodes: Vec<NodeSlot>,
-    heap: BinaryHeap<Scheduled<M>>,
-    seq: u64,
-    now: SimTime,
-    /// Control RNG: node placement and mobility advancement only. All
-    /// event-handling draws come from the per-node `streams`.
-    rng: ChaCha8Rng,
-    /// Per-node RNG streams, indexed by `NodeId`; see the module docs.
-    streams: Vec<ChaCha8Rng>,
-    stats: NetStats,
-    mobility_armed: bool,
     /// Spatial grid over the node positions; rebuilt on every mobility
     /// tick, extended in place by `add_node`. Queries filter liveness
     /// against `nodes`, so up/down events never touch the index.
     index: NeighbourIndex,
-    /// Reused per-broadcast target buffer: broadcast fan-out is the
-    /// 256-node hot path, and a fresh `Vec` per delivery showed up in
-    /// profiles.
-    bcast_scratch: Vec<(NodeId, f64)>,
-    /// Reused grid-candidate buffer for the same reason.
-    cand_scratch: Vec<NodeId>,
-    /// Reused handler command buffer (one per event otherwise).
-    cmd_scratch: Vec<Command<M>>,
+    /// Control RNG: node placement and mobility advancement only. All
+    /// event-handling draws come from the per-node streams.
+    rng: ChaCha8Rng,
+    mobility_armed: bool,
     /// The installed fault plan, if it samples anything; kept so nodes
     /// added after [`Simulator::set_fault_plan`] get samplers too.
     fault_plan: Option<FaultPlan>,
-    /// Per-node fault samplers (parallel to `nodes` when a plan is
-    /// installed, empty otherwise); each seeded from `(plan.seed, node)`
-    /// so fault draws, like all other draws, are independent of how
-    /// events at different nodes interleave. An empty table keeps the
-    /// delivery path bit-identical to a simulator without a fault layer.
-    fault: Vec<FaultSampler>,
-    /// Expanded partition schedule, if one cuts anything; consulted at
+    /// Expanded link-partition schedule (distinct from the node→shard
+    /// `part`itioning below), if one cuts anything; consulted at
     /// delivery-planning time as a pure timestamp lookup.
     partition: Option<PartitionTimeline>,
+    /// Events scheduled before the partition froze, in call order.
+    staged: Vec<(SimTime, EventKind<M>)>,
+    part: Option<Partition>,
+    shards: Vec<ShardState<M>>,
+    now: SimTime,
+    /// Network counters; the shards' blocks are folded in after each run.
+    stats: NetStats,
 }
 
 impl<M> Simulator<M> {
-    /// Creates an empty simulation.
+    /// Creates an empty single-shard simulation.
     pub fn new(config: SimConfig) -> Self {
+        Self::with_workers(config, 1)
+    }
+
+    /// Creates an empty simulation that [`run_shards`](Simulator::run_shards)
+    /// may run on up to `workers` threads (clamped to at least 1; the
+    /// shard count is additionally clamped to the node count at freeze
+    /// time).
+    pub fn with_workers(config: SimConfig, workers: usize) -> Self {
         let rng = ChaCha8Rng::seed_from_u64(config.seed);
         let index = NeighbourIndex::new(&config.area, config.radio.range_m);
         Self {
             config,
+            workers: workers.max(1),
             nodes: Vec::new(),
-            heap: BinaryHeap::new(),
-            seq: 0,
-            now: SimTime::ZERO,
-            rng,
-            streams: Vec::new(),
-            stats: NetStats::default(),
-            mobility_armed: false,
             index,
-            bcast_scratch: Vec::new(),
-            cand_scratch: Vec::new(),
-            cmd_scratch: Vec::new(),
+            rng,
+            mobility_armed: false,
             fault_plan: None,
-            fault: Vec::new(),
             partition: None,
+            staged: Vec::new(),
+            part: None,
+            shards: Vec::new(),
+            now: SimTime::ZERO,
+            stats: NetStats::default(),
         }
     }
 
@@ -353,12 +357,17 @@ impl<M> Simulator<M> {
     /// stream.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.fault_plan = plan.samples_anything().then_some(plan);
-        self.fault = match self.fault_plan {
-            Some(p) => (0..self.nodes.len() as u32)
-                .map(|n| FaultSampler::for_node(p, n))
-                .collect(),
-            None => Vec::new(),
-        };
+        if let Some(part) = self.part.as_ref() {
+            for (st, members) in self.shards.iter_mut().zip(&part.members) {
+                st.fault = match self.fault_plan {
+                    Some(p) => members
+                        .iter()
+                        .map(|n| FaultSampler::for_node(p, n.0))
+                        .collect(),
+                    None => Vec::new(),
+                };
+            }
+        }
     }
 
     /// Installs a [`PartitionPlan`], expanded against the current node
@@ -381,19 +390,19 @@ impl<M> Simulator<M> {
             mobility: MobilityState::new(mobility, pos),
             up: true,
         });
-        self.streams
-            .push(ChaCha8Rng::seed_from_u64(node_stream_seed(
-                self.config.seed,
-                id.0,
-            )));
-        if let Some(p) = self.fault_plan {
-            self.fault.push(FaultSampler::for_node(p, id.0));
-        }
         self.index.insert(id, pos);
+        if let Some(part) = self.part.as_mut() {
+            // Post-freeze: join the last shard (the partition stays fixed).
+            let q = part.shards - 1;
+            part.shard_of.push(q as u32);
+            part.local_of.push(part.members[q].len() as u32);
+            part.members[q].push(id);
+            self.shards[q].add_member(id, self.config.seed, self.fault_plan);
+        }
         if mobile && !self.mobility_armed {
             self.mobility_armed = true;
             let at = self.now + self.config.mobility_tick;
-            self.push(at, EventKind::MobilityTick);
+            self.schedule_event(at, EventKind::MobilityTick);
         }
         id
     }
@@ -404,7 +413,8 @@ impl<M> Simulator<M> {
         self.add_node(p, mobility)
     }
 
-    /// Current time.
+    /// Current time. Never runs backwards: a run to a deadline earlier
+    /// than `now` leaves the clock where it is.
     pub fn now(&self) -> SimTime {
         self.now
     }
@@ -421,10 +431,11 @@ impl<M> Simulator<M> {
 
     /// Liveness of a node.
     pub fn is_up(&self, n: NodeId) -> bool {
-        self.nodes.get(n.0 as usize).map(|s| s.up).unwrap_or(false)
+        self.nodes.get(n.0 as usize).is_some_and(|s| s.up)
     }
 
-    /// Network counters accumulated so far.
+    /// Network counters accumulated by every run so far. Counter merging
+    /// is pure addition, so the total does not depend on the shard count.
     pub fn stats(&self) -> &NetStats {
         &self.stats
     }
@@ -437,19 +448,19 @@ impl<M> Simulator<M> {
     /// Schedules a timer for the application (e.g. to bootstrap it).
     pub fn schedule_timer(&mut self, node: NodeId, delay: SimDuration, token: u64) {
         let at = self.now + delay;
-        self.push(at, EventKind::Timer { node, token });
+        self.schedule_event(at, EventKind::Timer { node, token });
     }
 
     /// Schedules a failure: `node` goes down at `now + delay`.
     pub fn schedule_down(&mut self, node: NodeId, delay: SimDuration) {
         let at = self.now + delay;
-        self.push(at, EventKind::Down(node));
+        self.schedule_event(at, EventKind::Down(node));
     }
 
     /// Schedules a recovery: `node` comes back at `now + delay`.
     pub fn schedule_up(&mut self, node: NodeId, delay: SimDuration) {
         let at = self.now + delay;
-        self.push(at, EventKind::Up(node));
+        self.schedule_event(at, EventKind::Up(node));
     }
 
     /// Live single-hop neighbours of `node`.
@@ -510,244 +521,215 @@ impl<M> Simulator<M> {
         out
     }
 
-    fn push(&mut self, at: SimTime, kind: EventKind<M>) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Scheduled {
-            at,
-            shard: 0,
-            seq,
-            kind,
-        });
+    /// Freezes the node→shard partition (idempotent; implied by the
+    /// first run) and creates the shards' RNG streams and fault samplers.
+    pub fn freeze(&mut self) {
+        if self.part.is_some() {
+            return;
+        }
+        let part = Partition::new(&self.nodes, self.workers, self.config.radio.latency(0));
+        self.shards = part
+            .members
+            .iter()
+            .map(|members| ShardState::new(members, self.config.seed, self.fault_plan))
+            .collect();
+        self.part = Some(part);
+        // Distribute pre-freeze schedules in call order: with one shard
+        // the keys are the global call-order sequence numbers.
+        for (at, kind) in std::mem::take(&mut self.staged) {
+            self.schedule_event(at, kind);
+        }
     }
 
-    /// Applies the commands a handler emitted. `anchor` is the node the
-    /// handled event was anchored at: its RNG stream and fault sampler
-    /// make every draw the sends below need.
-    fn apply_commands(&mut self, anchor: NodeId, cmds: &mut Vec<Command<M>>) {
-        for cmd in cmds.drain(..) {
-            match cmd {
-                Command::Unicast {
-                    src,
-                    dst,
-                    bytes,
-                    msg,
-                } => self.submit_unicast(anchor, src, dst, bytes, msg),
-                Command::Broadcast { src, bytes, msg } => {
-                    self.submit_broadcast(anchor, src, bytes, msg);
-                }
-                Command::Timer { node, delay, token } => {
-                    let at = self.now + delay;
-                    self.push(at, EventKind::Timer { node, token });
-                }
+    /// Number of shards (freezes the partition if needed) — the length
+    /// [`run_shards`](Simulator::run_shards) expects `apps` to be.
+    pub fn shard_count(&mut self) -> usize {
+        self.freeze();
+        self.shards.len()
+    }
+
+    /// The shard owning `node` (freezes the partition if needed).
+    pub fn shard_of(&mut self, node: NodeId) -> usize {
+        self.freeze();
+        self.part.as_ref().map_or(0, |p| p.shard_of(node))
+    }
+
+    /// Routes one event: staged before the freeze, pushed into its
+    /// anchor shard's heap (keyed by that shard) afterwards.
+    fn schedule_event(&mut self, at: SimTime, kind: EventKind<M>) {
+        match self.part.as_ref() {
+            None => self.staged.push((at, kind)),
+            Some(part) => {
+                let q = part.anchor_shard(&kind);
+                self.shards[q].push(q as u32, at, kind);
             }
         }
     }
 
-    fn submit_unicast(
-        &mut self,
-        anchor: NodeId,
-        src: NodeId,
-        dst: NodeId,
-        bytes: u64,
-        msg: Arc<M>,
-    ) {
-        let times = Medium {
-            radio: &self.config.radio,
-            nodes: &self.nodes,
-            index: &self.index,
-            cuts: self.partition.as_ref(),
-        }
-        .plan_unicast(
-            &mut Draws {
-                rng: &mut self.streams[anchor.0 as usize],
-                fault: self.fault.get_mut(anchor.0 as usize),
-                stats: &mut self.stats,
-            },
-            src,
-            dst,
-            self.now,
-            bytes,
+    /// Runs every shard through `app` on the calling thread until the
+    /// heaps drain or `deadline` passes, whichever comes first; returns
+    /// the number of events processed. The perpetual mobility tick does
+    /// not count as progress, so a simulation with only mobile nodes and
+    /// no protocol activity still terminates at the deadline.
+    pub fn run_until<A: NetApp<M>>(&mut self, app: &mut A, deadline: SimTime) -> u64 {
+        self.freeze();
+        let n = self.run_merged(std::slice::from_mut(app), deadline);
+        self.finish_run(deadline);
+        n
+    }
+
+    /// Like [`run_until`](Simulator::run_until), with **one app per
+    /// shard** ([`shard_count`](Simulator::shard_count)): shard `q` only
+    /// ever touches `apps[q]`, which is what makes handler state
+    /// thread-safe without locks. Runs on worker threads when the run is
+    /// parallel-eligible, on the calling thread otherwise — with
+    /// identical keys and draws, so eligibility never changes results.
+    pub fn run_shards<A>(&mut self, apps: &mut [A], deadline: SimTime) -> u64
+    where
+        M: Send + Sync,
+        A: NetApp<M> + Send,
+    {
+        self.freeze();
+        assert_eq!(
+            apps.len(),
+            self.shards.len(),
+            "run_shards needs exactly one app per shard"
         );
-        let sent_at = self.now;
-        for at in times.into_iter().flatten() {
-            self.push(
-                at,
-                EventKind::Deliver {
-                    kind: SendKind::Unicast,
-                    src,
-                    dst,
-                    bytes,
-                    sent_at,
-                    msg: Arc::clone(&msg),
-                },
-            );
+        let n = if self.parallel_eligible() {
+            self.run_parallel(apps, deadline)
+        } else {
+            self.run_merged(apps, deadline)
+        };
+        self.finish_run(deadline);
+        n
+    }
+
+    /// Folds the shards' stats blocks into the total and, if anything is
+    /// still scheduled, advances the clock to the deadline (never back).
+    fn finish_run(&mut self, deadline: SimTime) {
+        for st in &mut self.shards {
+            self.stats.merge(&std::mem::take(&mut st.stats));
+        }
+        if self.shards.iter().any(|st| !st.heap.is_empty()) {
+            self.now = self.now.max(deadline);
         }
     }
 
-    fn submit_broadcast(&mut self, anchor: NodeId, src: NodeId, bytes: u64, msg: Arc<M>) {
-        let mut cands = std::mem::take(&mut self.cand_scratch);
-        let mut targets = std::mem::take(&mut self.bcast_scratch);
-        Medium {
-            radio: &self.config.radio,
-            nodes: &self.nodes,
-            index: &self.index,
-            cuts: self.partition.as_ref(),
-        }
-        .collect_broadcast_targets(&mut self.stats, src, &mut cands, &mut targets);
-        self.cand_scratch = cands;
-        let latency = self.config.radio.latency(bytes);
-        let sent_at = self.now;
-        for &(dst, dist) in &targets {
-            let times = Medium {
-                radio: &self.config.radio,
+    /// Whether a run can execute in parallel: more than one shard,
+    /// positive lookahead, and a node table guaranteed immutable for the
+    /// whole run (no mobility, no pending liveness events).
+    pub(crate) fn parallel_eligible(&self) -> bool {
+        let Some(part) = self.part.as_ref() else {
+            return false;
+        };
+        part.shards > 1
+            && part.lookahead > SimDuration::ZERO
+            && !self.mobility_armed
+            && !self.shards.iter().any(|st| {
+                st.heap
+                    .iter()
+                    .any(|e| matches!(e.kind, EventKind::Down(_) | EventKind::Up(_)))
+            })
+    }
+
+    /// The single-thread event loop: executes the globally smallest event
+    /// key across all shard heaps — exactly the order the parallel path
+    /// assigns — through `apps[q]` for shard `q`, or through `apps[0]`
+    /// for every shard when given one app. Owns the events the parallel
+    /// path excludes: mobility ticks and liveness flips.
+    fn run_merged<A: NetApp<M>>(&mut self, apps: &mut [A], deadline: SimTime) -> u64 {
+        let Some(part) = self.part.as_ref() else {
+            return 0;
+        };
+        let mut processed = 0u64;
+        let mut out: Vec<Scheduled<M>> = Vec::new();
+        loop {
+            let mut best: Option<(usize, (SimTime, u32, u64))> = None;
+            for (i, st) in self.shards.iter().enumerate() {
+                if let Some(head) = st.heap.peek() {
+                    let k = head.key();
+                    if best.is_none_or(|(_, bk)| k < bk) {
+                        best = Some((i, k));
+                    }
+                }
+            }
+            let Some((q, _)) = best.filter(|(_, key)| key.0 <= deadline) else {
+                break;
+            };
+            let Some(ev) = self.shards[q].heap.pop() else {
+                break;
+            };
+            self.now = ev.at;
+            processed += 1;
+            match ev.kind {
+                EventKind::MobilityTick => {
+                    let dt = self.config.mobility_tick;
+                    let area = self.config.area;
+                    for slot in &mut self.nodes {
+                        slot.pos = slot.mobility.advance(slot.pos, dt, &area, &mut self.rng);
+                    }
+                    // Positions changed: re-bin the spatial index.
+                    self.index.rebuild(self.nodes.iter().map(|s| s.pos));
+                    let at = self.now + dt;
+                    self.shards[q].push(q as u32, at, EventKind::MobilityTick);
+                    continue;
+                }
+                EventKind::Down(node) | EventKind::Up(node) => {
+                    let Some(slot) = self.nodes.get_mut(node.0 as usize) else {
+                        continue;
+                    };
+                    slot.up = matches!(ev.kind, EventKind::Up(_));
+                }
+                _ => {}
+            }
+            let fabric = Fabric {
                 nodes: &self.nodes,
                 index: &self.index,
+                radio: &self.config.radio,
+                part,
                 cuts: self.partition.as_ref(),
-            }
-            .plan_broadcast_copy(
-                &mut Draws {
-                    rng: &mut self.streams[anchor.0 as usize],
-                    fault: self.fault.get_mut(anchor.0 as usize),
-                    stats: &mut self.stats,
-                },
-                src,
-                dst,
-                dist,
-                sent_at + latency,
-            );
-            for at in times.into_iter().flatten() {
-                self.push(
-                    at,
-                    EventKind::Deliver {
-                        kind: SendKind::Broadcast,
-                        src,
-                        dst,
-                        bytes,
-                        sent_at,
-                        // Shared payload: the broadcast's one allocation.
-                        msg: Arc::clone(&msg),
-                    },
-                );
+            };
+            let app = if apps.len() == 1 {
+                &mut apps[0]
+            } else {
+                &mut apps[q]
+            };
+            execute_event(&fabric, q as u32, &mut self.shards[q], app, ev, &mut out);
+            // Only cross-shard events reach `out`; same-shard ones were
+            // pushed directly inside `execute_event`.
+            for ev in out.drain(..) {
+                self.shards[part.anchor_shard(&ev.kind)].heap.push(ev);
             }
         }
-        self.bcast_scratch = targets;
+        processed
     }
 
-    /// Processes the next event through `app`. Returns the new time, or
-    /// `None` when the heap is empty.
-    pub fn step<A: NetApp<M>>(&mut self, app: &mut A) -> Option<SimTime> {
-        let ev = self.heap.pop()?;
-        self.now = ev.at;
-        let key = ev.key();
-        // Handlers run against a borrowed Ctx view of the node table and
-        // fill the reused command buffer; commands are applied after the
-        // handler returns and the buffer goes back into the scratch slot.
-        // `$anchor` is the node the event is anchored at: its RNG stream
-        // backs `ctx.rng` and every draw the emitted commands need.
-        macro_rules! with_ctx {
-            ($anchor:expr, |$ctx:ident| $call:expr) => {{
-                let anchor: NodeId = $anchor;
-                let cmds = std::mem::take(&mut self.cmd_scratch);
-                let mut $ctx = Ctx {
-                    now: self.now,
-                    rng: &mut self.streams[anchor.0 as usize],
-                    cmds,
-                    nodes: &self.nodes,
-                    index: &self.index,
-                    radio: &self.config.radio,
-                    key,
-                };
-                $call;
-                let mut cmds = $ctx.cmds;
-                self.apply_commands(anchor, &mut cmds);
-                self.cmd_scratch = cmds;
-            }};
-        }
-        match ev.kind {
-            EventKind::MobilityTick => {
-                let dt = self.config.mobility_tick;
-                let area = self.config.area;
-                for slot in &mut self.nodes {
-                    slot.pos = slot.mobility.advance(slot.pos, dt, &area, &mut self.rng);
-                }
-                // Positions changed: re-bin the spatial index.
-                self.index.rebuild(self.nodes.iter().map(|s| s.pos));
-                let at = self.now + dt;
-                self.push(at, EventKind::MobilityTick);
-            }
-            EventKind::Deliver {
-                kind,
-                src,
-                dst,
-                bytes,
-                sent_at,
-                msg,
-            } => {
-                // The destination may have died in flight.
-                if self.is_up(dst) {
-                    match kind {
-                        SendKind::Unicast => self.stats.unicasts_delivered += 1,
-                        SendKind::Broadcast => self.stats.broadcast_deliveries += 1,
-                    }
-                    let latency = self.now.since(sent_at);
-                    self.stats.record_delivery(latency, bytes);
-                    with_ctx!(dst, |ctx| app.on_message(&mut ctx, dst, src, &msg));
-                } else {
-                    match kind {
-                        SendKind::Unicast => self.stats.unicasts_unreachable += 1,
-                        SendKind::Broadcast => self.stats.broadcasts_undelivered += 1,
-                    }
-                }
-            }
-            EventKind::Timer { node, token } => {
-                if self.is_up(node) {
-                    with_ctx!(node, |ctx| app.on_timer(&mut ctx, node, token));
-                }
-            }
-            EventKind::Down(node) => {
-                if node.0 as usize >= self.nodes.len() {
-                    return Some(self.now);
-                }
-                self.nodes[node.0 as usize].up = false;
-                with_ctx!(node, |ctx| app.on_node_down(&mut ctx, node));
-            }
-            EventKind::Up(node) => {
-                if node.0 as usize >= self.nodes.len() {
-                    return Some(self.now);
-                }
-                self.nodes[node.0 as usize].up = true;
-                with_ctx!(node, |ctx| app.on_node_up(&mut ctx, node));
-            }
-        }
-        Some(self.now)
-    }
-
-    /// Runs until the heap drains or `deadline` passes. Returns the number
-    /// of events processed. The perpetual mobility tick does not count as
-    /// progress, so a simulation with only mobile nodes and no protocol
-    /// activity still terminates at the deadline.
-    pub fn run_until<A: NetApp<M>>(&mut self, app: &mut A, deadline: SimTime) -> u64 {
-        let mut n = 0;
-        while let Some(&Scheduled { at, .. }) = self.heap.peek().map(|s| s as &Scheduled<M>) {
-            if at > deadline {
-                self.now = deadline;
-                break;
-            }
-            if self.step(app).is_none() {
-                break;
-            }
-            n += 1;
-        }
+    /// The conservative parallel path (see the `shard` module docs): one
+    /// scoped worker thread per shard.
+    fn run_parallel<A>(&mut self, apps: &mut [A], deadline: SimTime) -> u64
+    where
+        M: Send + Sync,
+        A: NetApp<M> + Send,
+    {
+        let Some(part) = self.part.as_ref() else {
+            return 0;
+        };
+        let fabric = Fabric {
+            nodes: &self.nodes,
+            index: &self.index,
+            radio: &self.config.radio,
+            part,
+            cuts: self.partition.as_ref(),
+        };
+        let (n, now) = run_workers(fabric, &mut self.shards, apps, self.now, deadline);
+        self.now = now;
         n
     }
 }
 
 /// Immutable view of the transmission medium — radio model, node table,
-/// spatial index — shared by the send paths of the sequential and the
-/// sharded engine. Having exactly one implementation of the loss / fault
-/// / fan-out decisions is what makes the workers=1 bit-equality pin
-/// between the two engines meaningful rather than aspirational.
+/// spatial index — behind every send: the one implementation of the
+/// loss / fault / fan-out decisions, shared by every shard.
 pub(crate) struct Medium<'a> {
     pub(crate) radio: &'a RadioModel,
     pub(crate) nodes: &'a [NodeSlot],
@@ -863,8 +845,8 @@ impl Medium<'_> {
     /// Applies the partition schedule to planned delivery copies: any
     /// copy whose *delivery* timestamp falls while `src ↔ dst` is cut is
     /// discarded (counted in `partition_cuts`). Runs after every random
-    /// draw and consumes none itself, so the sequential and the sharded
-    /// DES cut exactly the same links on the same draws.
+    /// draw and consumes none itself, so installing a schedule never
+    /// shifts a draw, at any worker count.
     fn cut_partitioned(
         &self,
         mut times: [Option<SimTime>; 2],
@@ -1201,6 +1183,35 @@ mod tests {
         assert_eq!(stats.broadcasts_lost, 1);
         assert_eq!(stats.unicasts_lost, 0);
         assert_eq!(stats.broadcast_deliveries, 0);
+    }
+
+    #[test]
+    fn clock_never_runs_backwards() {
+        struct Stamp(Vec<SimTime>);
+        impl NetApp<u32> for Stamp {
+            fn on_message(&mut self, _: &mut Ctx<'_, u32>, _: NodeId, _: NodeId, _: &u32) {}
+            fn on_timer(&mut self, ctx: &mut Ctx<'_, u32>, _: NodeId, _: u64) {
+                self.0.push(ctx.now);
+            }
+        }
+        for workers in [1, 4] {
+            let mut sim: Simulator<u32> = Simulator::with_workers(SimConfig::default(), workers);
+            for i in 0..4 {
+                sim.add_node(Point::new(30.0 * i as f64, 0.0), Mobility::Static);
+            }
+            sim.schedule_timer(NodeId(0), SimDuration::secs(10), 0);
+            let mut apps: Vec<Stamp> = (0..sim.shard_count()).map(|_| Stamp(Vec::new())).collect();
+            sim.run_shards(&mut apps, SimTime(5_000_000));
+            assert_eq!(sim.now(), SimTime(5_000_000));
+            // An earlier deadline runs nothing and leaves the clock alone.
+            assert_eq!(sim.run_shards(&mut apps, SimTime(1_000_000)), 0);
+            assert_eq!(sim.now(), SimTime(5_000_000), "workers={workers}");
+            // So a timer armed now lands after everything already run.
+            sim.schedule_timer(NodeId(1), SimDuration::millis(1), 0);
+            sim.run_shards(&mut apps, SimTime(20_000_000));
+            let fired: Vec<SimTime> = apps.iter().flat_map(|a| a.0.clone()).collect();
+            assert!(fired.contains(&SimTime(5_001_000)), "workers={workers}");
+        }
     }
 
     #[test]

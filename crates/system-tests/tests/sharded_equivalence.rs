@@ -1,13 +1,12 @@
-//! Sharded-DES equivalence: the region-partitioned parallel simulator
-//! must not change what the simulation computes.
+//! Sharded-DES equivalence: running the simulator's spatial shards on
+//! worker threads must not change what the simulation computes.
 //!
 //! Two contracts, in decreasing strictness:
 //!
 //! * **One worker ⇒ bit-equality.** `Backend::DesSharded { workers: 1 }`
-//!   is the sequential engine run through the sharded machinery (one
-//!   shard, one heap, identical keys and draws), so its full event log —
-//!   timestamps, nodes, metrics, order — and message counters must equal
-//!   `Backend::Des` exactly, for any seed, population, task count,
+//!   and `Backend::Des` build the same one-shard engine, so their full
+//!   event logs — timestamps, nodes, metrics, order — and message
+//!   counters must be equal, for any seed, population, task count,
 //!   mobility, or fault plan.
 //! * **Many workers ⇒ outcome-pinning.** With real parallelism the event
 //!   *log order* may legally differ (total-order keys depend on the
@@ -119,7 +118,7 @@ proptest! {
     // Default config: 64 cases locally, PROPTEST_CASES=256 in CI.
     #![proptest_config(ProptestConfig::default())]
 
-    /// One worker is the sequential engine, bit for bit: identical event
+    /// One worker is the `Backend::Des` engine, bit for bit: identical event
     /// logs and message counts for any seed, pool, task count and
     /// originating node.
     #[test]
@@ -167,7 +166,7 @@ proptest! {
     }
 
     /// Parallel workers pin the *outcome*: same winner maps, same settled
-    /// count, same message counters as the sequential DES — the log order
+    /// count, same message counters as the one-worker DES — the log order
     /// is the only thing allowed to differ.
     #[test]
     fn multi_worker_outcomes_match_des(
@@ -239,7 +238,7 @@ proptest! {
         }
     }
 
-    /// Sharded vs sequential DES under the *same* partition schedule:
+    /// Many vs one worker under the *same* partition schedule:
     /// one worker stays bit-equal while links are cut, and parallel
     /// workers stay outcome-pinned — a cut is a function of
     /// `(timeline, sender, receiver, delivery time)`, never of the

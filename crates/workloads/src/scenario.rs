@@ -11,12 +11,11 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use qosc_core::{
-    ActorRuntime, CoalitionNode, DesRuntime, DesShardedRuntime, LoggedEvent, Msg, OrganizerConfig,
-    OrganizerEngine, ProviderConfig, ProviderEngine, Runtime,
+    ActorRuntime, CoalitionNode, DesRuntime, LoggedEvent, Msg, OrganizerConfig, OrganizerEngine,
+    ProviderConfig, ProviderEngine, Runtime,
 };
 use qosc_netsim::{
-    Area, Mobility, NetStats, PartitionPlan, RadioModel, ShardedSimulator, SimConfig, SimDuration,
-    SimTime, Simulator,
+    Area, Mobility, NetStats, PartitionPlan, RadioModel, SimConfig, SimDuration, SimTime, Simulator,
 };
 use qosc_resources::{NodeProfile, ResourceKind};
 use qosc_spec::ServiceDef;
@@ -30,10 +29,10 @@ pub enum Backend {
     /// The deterministic DES (`qosc-netsim`): geometry, latency, loss,
     /// mobility. The backend every experiment sweep uses.
     Des,
-    /// The DES event loop sharded across `workers` threads
-    /// (region-partitioned conservative parallel simulation). Identical
-    /// geometry and semantics to [`Backend::Des`]; at `workers: 1` the
-    /// run is bit-equal to it.
+    /// [`Backend::Des`] with its nodes split into up to `workers`
+    /// spatial shards run on worker threads (region-partitioned
+    /// conservative parallel simulation). Identical geometry and
+    /// semantics; `workers: 1` is [`Backend::Des`].
     DesSharded {
         /// Worker thread count (≥ 1; the shard count is additionally
         /// capped by the node count).
@@ -157,7 +156,9 @@ impl ScenarioConfig {
     pub fn build_backend(&self, backend: Backend) -> Box<dyn Runtime> {
         let mut rt: Box<dyn Runtime> = match backend {
             Backend::Des => return Box::new(Scenario::build(self).runtime),
-            Backend::DesSharded { workers } => return Box::new(self.build_sharded(workers)),
+            Backend::DesSharded { workers } => {
+                return Box::new(Scenario::with_workers(self, workers).runtime)
+            }
             Backend::Direct => Box::new(DesRuntime::instant(self.nodes)),
             Backend::Actor => Box::new(ActorRuntime::new()),
         };
@@ -174,41 +175,6 @@ impl ScenarioConfig {
             );
         }
         rt
-    }
-
-    /// Builds the scenario on the sharded parallel DES, with exactly the
-    /// geometry, population and seed derivation of [`Scenario::build`] —
-    /// so a sharded run is comparable, event for event, with a sequential
-    /// DES run of the same config.
-    pub fn build_sharded(&self, workers: usize) -> DesShardedRuntime {
-        let mut rng = ChaCha8Rng::seed_from_u64(self.seed ^ 0x5eed_cafe);
-        let mut sim: ShardedSimulator<Msg> = ShardedSimulator::new(
-            SimConfig {
-                area: self.area,
-                radio: self.radio.clone(),
-                seed: self.seed,
-                ..Default::default()
-            },
-            workers,
-        );
-        let profiles = self.population.sample_many(self.nodes, &mut rng);
-        for profile in profiles.iter() {
-            let mobility = match (&self.mobility, profile.class.battery_powered()) {
-                (Some(m), true) => m.clone(),
-                _ => Mobility::Static,
-            };
-            sim.add_node(self.area.sample(&mut rng), mobility);
-        }
-        let mut runtime = DesShardedRuntime::new(sim);
-        for (i, profile) in profiles.iter().enumerate() {
-            runtime
-                .add_node(self.coalition_node(i as u32, profile))
-                .expect("sequential ids are unique");
-        }
-        if !self.partitions.is_none() {
-            runtime.set_partition_plan(&self.partitions);
-        }
-        runtime
     }
 }
 
@@ -227,13 +193,23 @@ pub struct Scenario {
 impl Scenario {
     /// Builds a scenario from the config.
     pub fn build(config: &ScenarioConfig) -> Scenario {
+        Self::with_workers(config, 1)
+    }
+
+    /// [`Scenario::build`] on a simulator whose spatial shards run on up
+    /// to `workers` threads ([`Backend::DesSharded`]); geometry,
+    /// population and seed derivation do not depend on `workers`.
+    fn with_workers(config: &ScenarioConfig, workers: usize) -> Scenario {
         let mut rng = ChaCha8Rng::seed_from_u64(config.seed ^ 0x5eed_cafe);
-        let mut sim: Simulator<Msg> = Simulator::new(SimConfig {
-            area: config.area,
-            radio: config.radio.clone(),
-            seed: config.seed,
-            ..Default::default()
-        });
+        let mut sim: Simulator<Msg> = Simulator::with_workers(
+            SimConfig {
+                area: config.area,
+                radio: config.radio.clone(),
+                seed: config.seed,
+                ..Default::default()
+            },
+            workers,
+        );
         let profiles = config.population.sample_many(config.nodes, &mut rng);
         for profile in profiles.iter() {
             let mobility = match (&config.mobility, profile.class.battery_powered()) {
