@@ -12,7 +12,7 @@
 //! negotiation dies; an [`Msg::Award`] upgrades them to committed grants
 //! and starts the operation-phase heartbeats.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use qosc_netsim::{SimDuration, SimTime};
@@ -138,8 +138,11 @@ pub struct ProviderEngine {
     /// The reusable §5 engine: compile cache + scratch, shared by every
     /// CFP this provider prices.
     formulator: Formulator,
-    /// Tentative holds per (negotiation, task).
-    holds: HashMap<(NegoId, TaskId), VectorHold>,
+    /// Tentative holds per (negotiation, task), ordered so one
+    /// negotiation's records are one contiguous key range. A record
+    /// outlives its ledger hold: it goes only on award, a fresh CFP
+    /// round, [`Msg::Release`] or crash-restart.
+    holds: BTreeMap<(NegoId, TaskId), VectorHold>,
     /// Committed grants per (negotiation, task).
     committed: HashMap<(NegoId, TaskId), VectorHold>,
     /// Negotiations we execute tasks for (heartbeat targets).
@@ -168,7 +171,7 @@ impl ProviderEngine {
             ledger: NodeLedger::new(capacity),
             demand_models: HashMap::new(),
             formulator,
-            holds: HashMap::new(),
+            holds: BTreeMap::new(),
             committed: HashMap::new(),
             active: HashMap::new(),
             heartbeat_armed: HashMap::new(),
@@ -226,12 +229,13 @@ impl ProviderEngine {
         v
     }
 
-    /// Tasks this node has in-flight tentative holds for (proposed but not
-    /// yet awarded/declined), sorted.
+    /// Tasks this node has proposed for and still keeps a tentative-hold
+    /// record of, sorted. A record goes only when the task is awarded,
+    /// when a fresh CFP round for its negotiation arrives, on
+    /// [`Msg::Release`], or on crash-restart; until then it is listed
+    /// even if its ledger hold has already lapsed at `HoldExpiry`.
     pub fn holding(&self) -> Vec<(NegoId, TaskId)> {
-        let mut v: Vec<(NegoId, TaskId)> = self.holds.keys().copied().collect();
-        v.sort();
-        v
+        self.holds.keys().copied().collect()
     }
 
     /// Simulates a crash-restart of the provider process: volatile
@@ -241,7 +245,7 @@ impl ProviderEngine {
     /// discarding this node's pending timers; the engine itself keeps
     /// executing whatever it already accepted.
     pub fn crash_restart(&mut self) {
-        for (_, hold) in self.holds.drain() {
+        for hold in std::mem::take(&mut self.holds).into_values() {
             self.ledger.release(hold);
         }
         self.heartbeat_armed.clear();
@@ -277,13 +281,21 @@ impl ProviderEngine {
         }
     }
 
-    /// Drops expired tentative holds (ledger + bookkeeping).
+    /// Drops expired tentative holds from the ledger.
     fn expire_holds(&mut self, now: SimTime) {
         self.ledger.expire(now.as_micros());
-        // Bookkeeping entries whose holds expired become stale; committing
-        // them later fails gracefully (commit() returns UnknownHold) and is
-        // handled by the Decline path, but pruning keeps the map small.
-        // We conservatively keep entries; the ledger is the truth.
+        // The `holds` records of lapsed holds stay until award, a fresh
+        // round, `Release` or crash-restart: an award for one finds its
+        // ledger hold gone (commit() returns UnknownHold) and declines.
+    }
+
+    /// Returns every tentative hold of `nego` to the pool and drops its
+    /// records.
+    fn release_holds(&mut self, nego: NegoId) {
+        let keys = (nego, TaskId(0))..=(nego, TaskId(u32::MAX));
+        for (_, hold) in self.holds.extract_if(keys, |_, _| true) {
+            self.ledger.release(hold);
+        }
     }
 
     fn on_cfp(
@@ -320,17 +332,7 @@ impl ProviderEngine {
         // A fresh CFP round for a negotiation supersedes this provider's
         // earlier unanswered offers: the organizer has moved on, so their
         // tentative holds are dead capacity — release them before pricing.
-        let stale: Vec<(NegoId, TaskId)> = self
-            .holds
-            .keys()
-            .filter(|(n, _)| *n == nego)
-            .copied()
-            .collect();
-        for k in stale {
-            if let Some(h) = self.holds.remove(&k) {
-                self.ledger.release(h);
-            }
-        }
+        self.release_holds(nego);
         // Strategy-chain participation gate (battery policies, etc.),
         // evaluated against the capacity actually uncommitted right now.
         let ctx = CfpContext {
@@ -669,17 +671,7 @@ impl ProviderEngine {
             }
         }
         // Also drop any leftover tentative holds.
-        let keys: Vec<(NegoId, TaskId)> = self
-            .holds
-            .keys()
-            .filter(|(n, _)| *n == nego)
-            .copied()
-            .collect();
-        for k in keys {
-            if let Some(h) = self.holds.remove(&k) {
-                self.ledger.release(h);
-            }
-        }
+        self.release_holds(nego);
         self.active.remove(&nego);
         self.heartbeat_armed.remove(&nego);
         self.latest_round.remove(&nego);
@@ -711,21 +703,21 @@ impl crate::snapshot::StateDigest for ProviderEngine {
             }
         };
         let write_keyed_holds =
-            |h: &mut crate::snapshot::StableHasher, map: &HashMap<(NegoId, TaskId), VectorHold>| {
-                let mut keys: Vec<&(NegoId, TaskId)> = map.keys().collect();
-                keys.sort();
-                h.write_usize(keys.len());
-                for k in keys {
+            |h: &mut crate::snapshot::StableHasher, sorted: &[(&(NegoId, TaskId), &VectorHold)]| {
+                h.write_usize(sorted.len());
+                for (k, hold) in sorted {
                     h.write_u64(k.0.organizer as u64);
                     h.write_u64(k.0.seq as u64);
                     h.write_u64(k.1 .0 as u64);
-                    write_hold(h, &map[k]);
+                    write_hold(h, hold);
                 }
             };
         h.write_u64(self.id as u64);
         self.ledger.digest(h);
-        write_keyed_holds(h, &self.holds);
-        write_keyed_holds(h, &self.committed);
+        write_keyed_holds(h, &self.holds.iter().collect::<Vec<_>>());
+        let mut committed: Vec<_> = self.committed.iter().collect();
+        committed.sort_by_key(|(k, _)| **k);
+        write_keyed_holds(h, &committed);
         let mut negos: Vec<&NegoId> = self.active.keys().collect();
         negos.sort();
         h.write_usize(negos.len());
@@ -1243,6 +1235,107 @@ mod tests {
             }
         }
         assert!(degraded > 0 && shed > 0, "degraded {degraded}, shed {shed}");
+    }
+
+    /// One negotiation's hold records are the key range
+    /// `(nego, TaskId(0))..=(nego, TaskId(u32::MAX))`: a fresh round and a
+    /// `Release` drop exactly that range, both end tasks included, and
+    /// leave the neighbouring negotiations' records and ledger holds alone.
+    #[test]
+    fn per_negotiation_hold_sweeps_cover_exactly_their_key_range() {
+        let mut p = provider(500.0);
+        let cap = p.ledger().capacity().get(ResourceKind::Cpu);
+        let n = |organizer, seq| NegoId { organizer, seq };
+        let (n01, n02, n11) = (n(0, 1), n(0, 2), n(1, 1));
+        let ends = [TaskId(0), TaskId(u32::MAX)];
+        let mk = |nego: NegoId, round: u32, tasks: Vec<TaskAnnouncement>| Msg::CallForProposals {
+            nego,
+            tasks,
+            round,
+        };
+        let both = || ends.iter().map(|t| announcement(t.0)).collect::<Vec<_>>();
+        // Places holds for both end tasks; returns the CPU they took.
+        let propose = |p: &mut ProviderEngine, nego: NegoId, round: u32| -> f64 {
+            let actions = p.on_message(SimTime(1000), nego.organizer, &mk(nego, round, both()));
+            let Some(Msg::Proposal { proposals, .. }) = actions.first().and_then(Action::payload)
+            else {
+                panic!("{nego:?} round {round}: no proposal");
+            };
+            assert_eq!(proposals.len(), 2, "{nego:?} round {round}");
+            proposals
+                .iter()
+                .map(|t| t.demand.get(ResourceKind::Cpu))
+                .sum()
+        };
+        let keys = |negos: &[NegoId]| -> Vec<(NegoId, TaskId)> {
+            negos
+                .iter()
+                .flat_map(|&n| ends.iter().map(move |&t| (n, t)))
+                .collect()
+        };
+        let ledger_holds =
+            |p: &ProviderEngine| p.ledger().manager(ResourceKind::Cpu).holds_snapshot().len();
+        let mut cpu_held = HashMap::new();
+        for nego in [n01, n02, n11] {
+            cpu_held.insert(nego, propose(&mut p, nego, 0));
+        }
+        assert_eq!(p.holding(), keys(&[n01, n02, n11]));
+        assert_eq!(ledger_holds(&p), 6);
+
+        // A fresh round for (0,2) announcing only a task this node cannot
+        // price: its old holds go and no new ones are placed.
+        let unpriceable = TaskAnnouncement {
+            spec: catalog::transcode_spec(),
+            request: catalog::transcode_request(),
+            ..announcement(7)
+        };
+        let actions = p.on_message(SimTime(2000), 0, &mk(n02, 1, vec![unpriceable]));
+        assert!(actions.is_empty());
+        assert_eq!(p.holding(), keys(&[n01, n11]));
+        assert_eq!(ledger_holds(&p), 4);
+        let available = p.ledger().available().get(ResourceKind::Cpu);
+        assert!((available - (cap - cpu_held[&n01] - cpu_held[&n11])).abs() < 1e-9);
+
+        // Re-propose (0,2), then release (0,1): only (0,1)'s records go.
+        cpu_held.insert(n02, propose(&mut p, n02, 2));
+        assert_eq!(p.holding(), keys(&[n01, n02, n11]));
+        p.on_message(SimTime(3000), 0, &Msg::Release { nego: n01 });
+        assert_eq!(p.holding(), keys(&[n02, n11]));
+        assert_eq!(ledger_holds(&p), 4);
+        let available = p.ledger().available().get(ResourceKind::Cpu);
+        assert!((available - (cap - cpu_held[&n02] - cpu_held[&n11])).abs() < 1e-9);
+    }
+
+    /// `latest_round` outlives hold lapse: once a round-2 CFP is heard, a
+    /// late round-1 CFP and its award must not commit, even after every
+    /// ledger hold has expired and the late CFP placed fresh ones.
+    #[test]
+    fn superseded_round_award_declines_after_holds_lapse() {
+        let mut p = provider(500.0);
+        let mk = |round| Msg::CallForProposals {
+            nego: nego(),
+            tasks: vec![announcement(0)],
+            round,
+        };
+        p.on_message(SimTime(1000), 0, &mk(2));
+        p.on_timer(SimTime(10_000_000), nego(), TimerKind::HoldExpiry);
+        p.on_message(SimTime(10_000_001), 0, &mk(1));
+        let actions = p.on_message(
+            SimTime(10_000_002),
+            0,
+            &Msg::Award {
+                nego: nego(),
+                task: TaskId(0),
+                round: 1,
+            },
+        );
+        assert!(actions
+            .iter()
+            .any(|a| matches!(a.payload(), Some(Msg::Decline { round: 1, .. }))));
+        assert!(p.executing().is_empty());
+        for kind in ResourceKind::ALL {
+            assert_eq!(p.ledger().manager(kind).committed(), 0.0, "{kind:?}");
+        }
     }
 
     #[test]
